@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .geometry import normalize_quad
+from .geometry import canonical_order, degenerate_mask, normalize_quad
 
 COORD_TOL = 1e-6  # slack for normalized label coordinates at the frame edge
 
@@ -198,12 +199,13 @@ def read_label_file(
     n_classes: int | None = None,
     strict: bool = False,
     warnings: list[str] | None = None,
+    stats: dict | None = None,
 ) -> list[GroundTruth]:
     """Read one label file; blank lines are skipped.
 
-    In lax mode malformed lines are reported as warnings and skipped;
-    in strict mode the first malformed line raises.  Degenerate quads
-    are kept, flagged and reported.
+    In lax mode malformed lines are reported as warnings, skipped and
+    counted in ``stats["skipped"]``; in strict mode the first malformed
+    line raises.  Degenerate quads are kept, flagged and reported.
     """
     path = Path(path)
     stem = path.stem
@@ -219,6 +221,8 @@ def read_label_file(
                     raise ParseError(f"{path}: {exc}") from None
                 if warnings is not None:
                     warnings.append(f"{path}:{line_no}: skipped: {exc}")
+                if stats is not None:
+                    stats["skipped"] = stats.get("skipped", 0) + 1
                 continue
             if gt.degenerate and warnings is not None:
                 warnings.append(f"{path}:{line_no}: degenerate quad flagged")
@@ -286,29 +290,113 @@ def validate_detection_obj(
     return video_id, frame, class_id, poly, float(conf)
 
 
+@dataclass
+class DetectionChunk:
+    """The records of consecutive detection lines, as columns.
+
+    Columns hold the kept records in line order, quads ``(n, 4, 2)`` in
+    their input vertex order.  ``max_frame`` covers every record that
+    passed validation, degenerate ones included (-1 if there is none).
+    """
+
+    n_records: int
+    n_skipped: int
+    warnings: list[str]
+    max_frame: int
+    video_ids: list[str]
+    frames: list[int]
+    classes: list[int]
+    confs: list[float]
+    quads: np.ndarray
+
+    def detections(self) -> Iterator[Detection]:
+        """The kept records as Detections, quads in canonical order."""
+        quads = canonical_order(self.quads)
+        for video_id, frame, class_id, quad, conf in zip(self.video_ids, self.frames, self.classes, quads, self.confs):
+            yield Detection(video_id=video_id, frame_index=frame, class_id=class_id, quad=quad, confidence=conf)
+
+
+def parse_detection_chunk(
+    lines: list[str],
+    first_line_no: int,
+    class_map: ClassMap | None = None,
+    meta: FrameMeta | None = None,
+    strict: bool = False,
+) -> DetectionChunk:
+    """Decode and validate detection lines; degenerate quads count as invalid.
+
+    ``lines[i]`` is line ``first_line_no + i`` of its stream, and blank
+    lines are not records.  In lax mode each invalid record is skipped
+    with a ``line N: skipped: <reason>`` warning, in line order; in
+    strict mode the first invalid record in line order raises ParseError.
+    """
+    loads, validate = json.loads, validate_detection_obj
+    video_ids: list[str] = []
+    frames: list[int] = []
+    classes: list[int] = []
+    confs: list[float] = []
+    coords = array("d")  # flat x, y pairs; holds no float objects between lines
+    line_nos: list[int] = []
+    faults: list[tuple[int, str]] = []
+    n_records = 0
+    for offset, line in enumerate(lines):
+        if not line.strip():
+            continue
+        n_records += 1
+        try:
+            video_id, frame, class_id, poly, conf = validate(loads(line), class_map, meta)
+        except json.JSONDecodeError as exc:
+            fault = f"invalid JSON: {exc.msg}"
+        except DataError as exc:
+            fault = str(exc)
+        else:
+            video_ids.append(video_id)
+            frames.append(frame)
+            classes.append(class_id)
+            confs.append(conf)
+            for pt in poly:
+                coords.extend(pt)
+            line_nos.append(first_line_no + offset)
+            continue
+        faults.append((first_line_no + offset, fault))
+        if strict:
+            break  # records before this line may still hold an earlier degenerate quad
+    max_frame = max(frames, default=-1)
+    quads = np.frombuffer(coords, dtype=np.float64).reshape(-1, 4, 2)
+    degenerate = degenerate_mask(quads)
+    if degenerate.any():
+        faults = sorted(faults + [(line_nos[i], "degenerate quad") for i in np.flatnonzero(degenerate).tolist()])
+        keep = (~degenerate).tolist()
+        video_ids, frames, classes, confs = (
+            [v for v, k in zip(col, keep) if k] for col in (video_ids, frames, classes, confs)
+        )
+        quads = quads[~degenerate]
+    if strict and faults:
+        raise ParseError(faults[0][1], faults[0][0])
+    return DetectionChunk(
+        n_records=n_records,
+        n_skipped=len(faults),
+        warnings=[f"line {line_no}: skipped: {msg}" for line_no, msg in faults],
+        max_frame=max_frame,
+        video_ids=video_ids,
+        frames=frames,
+        classes=classes,
+        confs=confs,
+        quads=quads,
+    )
+
+
 def parse_detection_line(
     line: str,
     class_map: ClassMap | None = None,
     meta: FrameMeta | None = None,
-    line_no: int | None = None,
+    line_no: int = 1,
 ) -> Detection:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
-    try:
-        video_id, frame, class_id, poly, conf = validate_detection_obj(obj, class_map, meta)
-    except DataError as exc:
-        raise ParseError(str(exc), line_no) from None
-    quad, degenerate = normalize_quad(np.array(poly, dtype=np.float64))
-    return Detection(
-        video_id=video_id,
-        frame_index=frame,
-        class_id=class_id,
-        quad=quad,
-        confidence=conf,
-        degenerate=degenerate,
-    )
+    """Parse one record; a malformed or degenerate record raises ParseError."""
+    chunk = parse_detection_chunk([line], line_no, class_map, meta, strict=True)
+    if not chunk.n_records:
+        raise ParseError("blank line", line_no)
+    return next(chunk.detections())
 
 
 def iter_detections(
@@ -318,38 +406,16 @@ def iter_detections(
     strict: bool = False,
     warnings: list[str] | None = None,
 ) -> Iterator[Detection]:
-    """Stream Detections from JSON lines with bounded per-record memory.
+    """Stream Detections from JSON lines, parsing one line at a time.
 
     Degenerate quads count as invalid records: reported and skipped in
     lax mode, fatal in strict mode.
     """
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            det = parse_detection_line(line, class_map, meta, line_no)
-            if det.degenerate:
-                raise ParseError("degenerate quad", line_no)
-        except ParseError as exc:
-            if strict:
-                raise
-            if warnings is not None:
-                warnings.append(f"line {line_no}: skipped: {exc}")
-            continue
-        yield det
-
-
-def write_detections(path: str | Path, detections: Iterable[Detection]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for det in detections:
-            obj = {
-                "video_id": det.video_id,
-                "frame": det.frame_index,
-                "class": det.class_id,
-                "poly": [[float(x), float(y)] for x, y in det.quad],
-                "conf": det.confidence,
-            }
-            fh.write(json.dumps(obj) + "\n")
+        chunk = parse_detection_chunk([line], line_no, class_map, meta, strict)
+        if warnings is not None:
+            warnings.extend(chunk.warnings)
+        yield from chunk.detections()
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +515,6 @@ def write_json_report(path: str | Path, payload) -> None:
         fh.write("\n")
 
 
-def read_json_report(path: str | Path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def write_table(path: str | Path, fieldnames: list[str], rows: list[dict], fmt: str) -> None:
     """Write a tabular report as CSV or as a JSON array of row objects."""
     if fmt == "csv":
@@ -464,13 +525,3 @@ def write_table(path: str | Path, fieldnames: list[str], rows: list[dict], fmt: 
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
 
-
-def read_table(path: str | Path, fmt: str) -> list[dict]:
-    if fmt == "csv":
-        return read_table_csv(path)[1]
-    if fmt == "json":
-        payload = read_json_report(path)
-        if not isinstance(payload, list):
-            raise DataError(f"{path}: expected a JSON array of rows")
-        return payload
-    raise ConfigError(f"unknown report format {fmt!r}")

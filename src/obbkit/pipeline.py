@@ -11,7 +11,7 @@ same input produces byte-identical reports at any ``--jobs`` level.
 
 from __future__ import annotations
 
-import json
+import json  # noqa: F401 - bound for the benchmark's layer tracer
 import os
 import time
 from collections import deque
@@ -22,20 +22,21 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, metrics, tightness
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError
 from .formats import (
     ClassMap,
     Detection,
     FrameMeta,
     GroundTruth,
-    iter_detections,
     load_split,
+    parse_detection_chunk,
     read_label_file,
-    validate_detection_obj,
     write_json_report,
     write_table,
 )
-from .geometry import RectAA, clip_areas_to_rect, degenerate_mask
+from .formats import iter_detections, validate_detection_obj  # noqa: F401 - bound for the benchmark's layer tracer
+from .geometry import RectAA, clip_areas_to_rect
+from .geometry import degenerate_mask  # noqa: F401 - bound for the benchmark's layer tracer
 from .losses import LossParams, run_loss_checks
 
 CHUNK_LINES = 8192
@@ -105,6 +106,16 @@ class AnalyzeConfig:
     jobs: int = 1
     strict: bool = False
 
+    def __post_init__(self):
+        if not 0.0 <= self.conf_threshold <= 1.0:
+            raise ConfigError(f"confidence threshold must be in [0, 1], got {self.conf_threshold}")
+        if self.top_k < 1:
+            raise ConfigError(f"top-k must be >= 1, got {self.top_k}")
+        if self.min_run < 1:
+            raise ConfigError(f"min_run must be >= 1, got {self.min_run}")
+        if self.max_gap < 0:
+            raise ConfigError(f"max_gap must be >= 0, got {self.max_gap}")
+
 
 @dataclass
 class _ChunkResult:
@@ -120,77 +131,24 @@ class _ChunkResult:
 
 def _analyze_chunk(task) -> _ChunkResult:
     lines, first_line_no, meta, class_map, conf_threshold, strict = task
-    frames: list[int] = []
-    classes: list[int] = []
-    polys: list[list[list[float]]] = []
-    confs: list[float] = []
-    line_nos: list[int] = []
-    warnings: list[str] = []
-    n_records = 0
-    n_skipped = 0
-    max_frame = -1
-    for offset, line in enumerate(lines):
-        if not line.strip():
-            continue
-        n_records += 1
-        line_no = first_line_no + offset
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if strict:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
-            n_skipped += 1
-            warnings.append(f"line {line_no}: skipped: invalid JSON: {exc.msg}")
-            continue
-        try:
-            _video, frame, class_id, poly, conf = validate_detection_obj(obj, class_map, meta)
-        except DataError as exc:
-            if strict:
-                raise ParseError(str(exc), line_no) from None
-            n_skipped += 1
-            warnings.append(f"line {line_no}: skipped: {exc}")
-            continue
-        max_frame = max(max_frame, frame)
-        frames.append(frame)
-        classes.append(class_id)
-        polys.append(poly)
-        confs.append(conf)
-        line_nos.append(line_no)
-    if not frames:
-        return _ChunkResult(
-            n_records, n_skipped, 0, np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), max_frame, warnings
-        )
-    quads = np.array(polys, dtype=np.float64)
-    degenerate = degenerate_mask(quads)
-    if degenerate.any():
-        for i in np.flatnonzero(degenerate):
-            msg = "degenerate quad"
-            if strict:
-                raise ParseError(msg, line_nos[i])
-            warnings.append(f"line {line_nos[i]}: skipped: {msg}")
-        n_skipped += int(degenerate.sum())
-    keep = ~degenerate
-    frames_arr = np.asarray(frames, np.int64)[keep]
-    classes_arr = np.asarray(classes, np.int64)[keep]
-    confs_arr = np.asarray(confs)[keep]
-    quads = quads[keep]
-    above = confs_arr >= conf_threshold
-    n_below = int((~above).sum())
+    chunk = parse_detection_chunk(lines, first_line_no, class_map, meta, strict)
+    confs = np.array(chunk.confs)
+    above = confs >= conf_threshold
     rect = RectAA(0.0, 0.0, meta.width, meta.height)
-    areas = clip_areas_to_rect(quads[above], rect)
     return _ChunkResult(
-        n_records,
-        n_skipped,
-        n_below,
-        frames_arr[above],
-        classes_arr[above],
-        areas,
-        max_frame,
-        warnings,
+        chunk.n_records,
+        chunk.n_skipped,
+        int((~above).sum()),
+        np.array(chunk.frames, np.int64)[above],
+        np.array(chunk.classes, np.int64)[above],
+        clip_areas_to_rect(chunk.quads[above], rect),
+        chunk.max_frame,
+        chunk.warnings,
     )
 
 
-def _chunk_tasks(path: Path, meta: FrameMeta, class_map: ClassMap | None, conf_threshold: float, strict: bool):
+def _line_chunks(path: Path):
+    """(lines, first line number) of consecutive CHUNK_LINES-line runs of a text file."""
     with open(path, encoding="utf-8") as fh:
         first_line_no = 1
         while True:
@@ -201,7 +159,7 @@ def _chunk_tasks(path: Path, meta: FrameMeta, class_map: ClassMap | None, conf_t
                     break
             if not lines:
                 return
-            yield (lines, first_line_no, meta, class_map, conf_threshold, strict)
+            yield lines, first_line_no
             first_line_no += len(lines)
 
 
@@ -213,7 +171,10 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
         raise ConfigError(f"detections file not found: {cfg.detections}")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = _chunk_tasks(cfg.detections, cfg.meta, cfg.class_map, cfg.conf_threshold, cfg.strict)
+    tasks = (
+        (lines, first_line_no, cfg.meta, cfg.class_map, cfg.conf_threshold, cfg.strict)
+        for lines, first_line_no in _line_chunks(cfg.detections)
+    )
     chunks = list(_map_ordered(_analyze_chunk, tasks, cfg.jobs))
 
     n_records = sum(c.n_records for c in chunks)
@@ -395,16 +356,15 @@ def load_ground_truth(
     """Read every label file of a split directory into pixel-space records."""
     pairs = load_split(labels_dir.parent, labels_dir.name, strict=strict, warnings=warnings)
     gts: list[GroundTruth] = []
+    file_stats = {"skipped": 0}
     for pair in pairs:
-        if pair.label_path is None:
-            continue
-        before = len(warnings)
-        file_gts = read_label_file(pair.label_path, meta, n_classes, strict=strict, warnings=warnings)
-        gts.extend(file_gts)
-        if stats is not None:
-            skipped = sum("skipped" in w for w in warnings[before:])
-            stats["gt_parsed"] = stats.get("gt_parsed", 0) + len(file_gts)
-            stats["gt_skipped"] = stats.get("gt_skipped", 0) + skipped
+        if pair.label_path is not None:
+            gts.extend(
+                read_label_file(pair.label_path, meta, n_classes, strict=strict, warnings=warnings, stats=file_stats)
+            )
+    if stats is not None:
+        stats["gt_parsed"] = len(gts)
+        stats["gt_skipped"] = file_stats["skipped"]
     return gts
 
 
@@ -416,10 +376,14 @@ def load_predictions(
     warnings: list[str],
 ) -> tuple[list[Detection], int]:
     """Read a detections file; returns (records, skipped count)."""
-    before = len(warnings)
-    with open(path, encoding="utf-8") as fh:
-        dets = list(iter_detections(fh, class_map, meta, strict=strict, warnings=warnings))
-    return dets, len(warnings) - before
+    dets: list[Detection] = []
+    n_skipped = 0
+    for lines, first_line_no in _line_chunks(path):
+        chunk = parse_detection_chunk(lines, first_line_no, class_map, meta, strict)
+        warnings.extend(chunk.warnings)
+        n_skipped += chunk.n_skipped
+        dets.extend(chunk.detections())
+    return dets, n_skipped
 
 
 def run_evaluate(cfg: EvaluateConfig, config_echo: dict | None = None) -> RunReport:

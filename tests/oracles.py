@@ -207,3 +207,48 @@ def random_convex_quad(rng, center, scale) -> np.ndarray:
     ex = rx * np.cos(angles)
     ey = ry * np.sin(angles)
     return np.stack([center[0] + ex * c - ey * s, center[1] + ex * s + ey * c], axis=1)
+
+
+EDGE_TOL = 1e-9  # the library's on-edge tolerance, in pixel units
+
+
+def _cross2(u, v) -> float:
+    return float(u[0] * v[1] - u[1] * v[0])
+
+
+def _segments_properly_cross(p0, p1, q0, q1) -> bool:
+    # Proper crossing only; shared endpoints / touching do not count.
+    d1 = _cross2(p1 - p0, q0 - p0)
+    d2 = _cross2(p1 - p0, q1 - p0)
+    d3 = _cross2(q1 - q0, p0 - q0)
+    d4 = _cross2(q1 - q0, p1 - q0)
+    return (d1 * d2 < 0) and (d3 * d4 < 0)
+
+
+def normalize_quad_reference(points) -> tuple[np.ndarray, bool]:
+    """Scalar quad canonicalizer, one vertex and one test at a time.
+
+    Positive winding from the (y, x)-smallest vertex; flagged when the
+    area is ~0, opposite edges properly cross, or consecutive edge
+    crosses take both signs.
+    """
+    v = np.asarray(points, dtype=np.float64)
+    r = v - v[0]
+    s2 = float(np.dot(r[:, 0], np.roll(r[:, 1], -1)) - np.dot(r[:, 1], np.roll(r[:, 0], -1)))
+    if s2 < 0:
+        v = v[::-1].copy()
+        s2 = -s2
+    start = min(range(4), key=lambda i: (v[i, 1], v[i, 0]))
+    v = np.roll(v, -start, axis=0)
+
+    degenerate = False
+    if s2 / 2.0 <= EDGE_TOL:
+        degenerate = True
+    elif _segments_properly_cross(v[0], v[1], v[2], v[3]) or _segments_properly_cross(v[1], v[2], v[3], v[0]):
+        degenerate = True
+    else:
+        e = np.roll(v, -1, axis=0) - v
+        cr = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
+        if (cr > EDGE_TOL).any() and (cr < -EDGE_TOL).any():
+            degenerate = True
+    return v, degenerate

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import detection_line
 from obbkit.cli import main
-from obbkit.formats import read_table_csv
+from obbkit.formats import iter_detections, read_table_csv
 from obbkit.geometry import quad_from_rect
 from obbkit.tightness import tr_rect_closed_form
 
@@ -210,6 +210,30 @@ class TestAnalyze:
         _, rank_rows = read_table_csv(out / "ranking.csv")
         assert float(rank_rows[0]["exposure_s"]) == float(rows[0]["exposure_s"])
 
+    @pytest.mark.parametrize("flag", [["--top-k", "0"], ["--conf-threshold", "1.5"]])
+    @pytest.mark.parametrize("stream", ["", "toy"])
+    def test_invalid_config_exit_1_before_reading(self, toy_analyze, flag, stream, capsys):
+        dets, meta, out = toy_analyze
+        if not stream:
+            dets.write_text("")
+        code = main(["analyze", "--detections", str(dets), "--meta", str(meta), "--out", str(out), *flag])
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_strict_reports_first_fault_in_line_order(self, tmp_path, capsys):
+        dets = tmp_path / "dets.jsonl"
+        lines = [
+            detection_line("v", 0, 0, quad_from_rect(50, 50, 10, 10, 0), 0.9),
+            detection_line("v", 1, 0, [[0, 0], [1, 1], [1, 0], [0, 1]], 0.9),  # bow-tie
+            '{"broken json',
+        ]
+        dets.write_text("\n".join(lines) + "\n")
+        meta = write_meta(tmp_path / "meta.json")
+        code = main(["analyze", "--detections", str(dets), "--meta", str(meta), "--out", str(tmp_path / "o"), "--strict"])
+        assert code == 2
+        assert "error: line 2: degenerate quad" in capsys.readouterr().err
+
     def test_json_format(self, toy_analyze):
         dets, meta, out = toy_analyze
         code = main(["analyze", "--detections", str(dets), "--meta", str(meta), "--out", str(out), "--format", "json"])
@@ -323,6 +347,61 @@ class TestEvaluate:
             ]
         )
         assert code == 2
+
+    def test_flagged_label_under_skipped_dir_is_not_a_skip(self, tmp_path, capsys):
+        split, preds = make_eval_tree(tmp_path / "skipped_run")
+        bowtie = [[20, 20], [30, 30], [30, 20], [20, 30]]
+        with open(split / "labels" / "f0.txt", "a") as fh:
+            fh.write(label_line(0, bowtie) + "\n")
+        code = main(
+            [
+                "evaluate", "--labels", str(split), "--detections", str(preds),
+                "--width", "100", "--height", "100", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert any("degenerate quad flagged" in w for w in report["warnings"])
+        assert report["counts"]["ground_truth_parsed"] == 3
+        assert report["counts"]["ground_truth_skipped"] == 0
+
+
+class TestOneDetectionParser:
+    """analyze, evaluate and iter_detections read a detection line the same way."""
+
+    LINES = [
+        detection_line("f0", 0, 0, quad_from_rect(20, 20, 10, 6, 0), 0.9),
+        detection_line("f0", 1, 0, [[10, 10], [20, 20], [20, 10], [10, 20]], 0.9),  # bow-tie
+        '{"broken json',
+        detection_line("f1", 2, 0, quad_from_rect(60, 60, 10, 6, 40), 1.7),
+        "",
+        detection_line("f1", 3, 0, quad_from_rect(60, 60, 10, 6, 40), 0.7),
+    ]
+
+    def test_same_warnings_and_counts(self, tmp_path, capsys):
+        preds = tmp_path / "mixed.jsonl"
+        preds.write_text("\n".join(self.LINES) + "\n")
+        warnings: list[str] = []
+        with open(preds) as fh:
+            kept = list(iter_detections(fh, warnings=warnings))
+        assert len(kept) == 2
+        assert len(warnings) == 3
+        assert warnings[0] == "line 2: skipped: degenerate quad"
+        assert warnings[1].startswith("line 3: skipped: invalid JSON: ")
+        assert warnings[2] == "line 4: skipped: confidence 1.7 out of range [0, 1]"
+
+        split, _ = make_eval_tree(tmp_path)
+        meta = write_meta(tmp_path / "meta.json")
+        out = tmp_path / "out"
+        assert main(["analyze", "--detections", str(preds), "--meta", str(meta), "--out", str(out / "a")]) == 0
+        analyzed = json.loads(capsys.readouterr().out)
+        args = ["--labels", str(split), "--detections", str(preds), "--width", "100", "--height", "100"]
+        assert main(["evaluate", *args, "--out", str(out / "e")]) == 0
+        evaluated = json.loads(capsys.readouterr().out)
+
+        assert analyzed["warnings"] == evaluated["warnings"] == warnings
+        assert analyzed["counts"]["records_skipped"] == evaluated["counts"]["predictions_skipped"] == 3
+        assert analyzed["counts"]["records_accepted"] == evaluated["counts"]["predictions_parsed"] == len(kept)
 
 
 class TestFit:

@@ -13,6 +13,7 @@ from obbkit.formats import (
     iter_detections,
     load_class_map,
     load_split,
+    parse_detection_chunk,
     parse_detection_line,
     parse_obb_label_line,
     read_label_file,
@@ -22,7 +23,7 @@ from obbkit.formats import (
     write_table_csv,
 )
 from conftest import detection_line
-from obbkit.geometry import polygon_area
+from obbkit.geometry import normalize_quad, polygon_area
 from obbkit.geometry import quad_from_rect
 
 META_1000 = FrameMeta(width=1000.0, height=1000.0, fps=25.0, frame_count=100)
@@ -180,6 +181,37 @@ class TestDetectionStream:
         assert count == 20_000
         # ~3 MB of text flows through; a streaming parser holds only one record
         assert peak < 2_000_000
+
+
+class TestDetectionChunk:
+    GOOD = detection_line("v", 7, 2, quad_from_rect(50, 50, 10, 5, 20), 0.8)
+    BOWTIE = detection_line("v", 9, 0, [[0, 0], [1, 1], [1, 0], [0, 1]], 0.9)
+    LINES = [GOOD + "\n", "\n", BOWTIE + "\n", '{"oops\n', GOOD + "\n"]
+
+    def test_columns_counts_and_line_ordered_warnings(self):
+        chunk = parse_detection_chunk(self.LINES, 101)
+        assert (chunk.n_records, chunk.n_skipped) == (4, 2)
+        assert chunk.warnings[0] == "line 103: skipped: degenerate quad"
+        assert chunk.warnings[1].startswith("line 104: skipped: invalid JSON: ")
+        assert chunk.frames == [7, 7] and chunk.classes == [2, 2] and chunk.confs == [0.8, 0.8]
+        assert chunk.quads.shape == (2, 4, 2)
+        assert chunk.max_frame == 9  # validated records count, degenerate ones too
+
+    def test_strict_raises_first_fault_in_line_order(self):
+        with pytest.raises(ParseError, match="^line 103: degenerate quad$"):
+            parse_detection_chunk(self.LINES, 101, strict=True)
+
+    def test_detections_are_canonical(self):
+        chunk = parse_detection_chunk(self.LINES, 1)
+        expected = normalize_quad(json.loads(self.GOOD)["poly"])[0]
+        for det in chunk.detections():
+            assert det.quad.tobytes() == expected.tobytes()
+            assert not det.degenerate
+
+    def test_empty_chunk(self):
+        chunk = parse_detection_chunk(["\n", "  \n"], 1)
+        assert (chunk.n_records, chunk.n_skipped, chunk.max_frame) == (0, 0, -1)
+        assert chunk.quads.shape == (0, 4, 2) and list(chunk.detections()) == []
 
 
 class TestClassMap:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from obbkit.errors import GeometryError
 from obbkit.geometry import (
     RectAA,
+    canonical_order,
     clip_areas_to_rect,
     clip_to_rect,
     convex_intersection,
@@ -28,6 +30,7 @@ from oracles import (
     _inside_convex,
     _split_samples,
     mc_intersection_area,
+    normalize_quad_reference,
     random_convex_quad,
     raster_clip_area,
     raster_iou,
@@ -405,6 +408,39 @@ class TestBatchKernels:
         assert areas[0] == pytest.approx(FRAME.area, rel=1e-12)
         assert areas[1] == pytest.approx(200.0, rel=1e-12)
         assert areas[2] == pytest.approx(100.0, rel=1e-12)
+
+
+class TestCanonicalOrder:
+    """canonical_order, degenerate_mask and normalize_quad against the scalar reference, bit for bit."""
+
+    @staticmethod
+    def _assert_matches_reference(quads: np.ndarray) -> None:
+        ref = [normalize_quad_reference(q) for q in quads]
+        assert canonical_order(quads).tobytes() == np.stack([v for v, _ in ref]).tobytes()
+        assert degenerate_mask(quads).tolist() == [flag for _, flag in ref]
+        for quad, (ref_v, ref_flag) in zip(quads, ref):
+            v, flag = normalize_quad(quad)
+            assert v.shape == (4, 2) and v.tobytes() == ref_v.tobytes()
+            assert flag == ref_flag
+
+    def test_exhaustive_3x3_grid(self):
+        points = [(x, y) for x in range(3) for y in range(3)]
+        quads = np.array(list(itertools.product(points, repeat=4)), dtype=np.float64)
+        assert quads.shape == (6561, 4, 2)  # includes repeated vertices and exact collinear cases
+        self._assert_matches_reference(quads)
+
+    def test_random_quads_some_shuffled(self):
+        rng = np.random.default_rng(61)
+        quads = []
+        for _ in range(2000):
+            q = random_convex_quad(rng, rng.uniform(-1500, 1500, 2), rng.uniform(0.01, 300))
+            if rng.random() < 0.5:
+                q = q[rng.permutation(4)]  # bow-ties and reversed windings
+            quads.append(q)
+        self._assert_matches_reference(np.stack(quads))
+
+    def test_empty_batch(self):
+        assert canonical_order(np.zeros((0, 4, 2))).shape == (0, 4, 2)
 
 
 class TestIntersectionContainment:
