@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import pipeline
 from .errors import ConfigError, DataError, ObbkitError
+from .evaluation import INTERPOLATIONS
 from .formats import ClassMap, FrameMeta, load_class_map
 from .losses import LossParams
 
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fixed P/R operating point (default: max-F1 point)",
     )
-    p.add_argument("--interpolation", choices=("all_points", "11point"), default="all_points", help="AP interpolation")
+    p.add_argument("--interpolation", choices=INTERPOLATIONS, default="all_points", help="AP interpolation")
     _add_common(p)
 
     p = sub.add_parser("fit", help="tightness-ratio vs orientation analysis")

@@ -2,10 +2,12 @@
 
 Matching is greedy per class: predictions in descending confidence
 order each claim the unmatched ground-truth box with the highest IoU
-at or above the threshold.  AP uses all-points interpolation (the
-continuous precision envelope) by default; an 11-point variant is
-available.  The HBB mode converts both sides to their minimum
-enclosing axis-aligned rectangles before matching.
+at or above the threshold.  Only pairs whose enclosing axis-aligned
+boxes overlap or touch are compared; every other pair has IoU 0.  AP
+uses all-points interpolation (the continuous precision envelope) by
+default; an 11-point variant is available.  The HBB mode converts both
+sides to their minimum enclosing axis-aligned rectangles before
+matching.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .formats import Detection, GroundTruth
-from .geometry import enclosing_hbb, iou_obb, rect_iou
+from .geometry import enclosing_bounds, iou_obb, rect_ious
+from .geometry import enclosing_hbb  # noqa: F401 - bound for the benchmark's layer tracer
 
 DEFAULT_IOU_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
+
+INTERPOLATIONS = ("all_points", "11point")
 
 EVAL_TABLE_FIELDS = ["metric", "class_id", "threshold", "value"]
 
@@ -93,10 +98,21 @@ class MatchAudit:
     notes: list[str] = field(default_factory=list)
 
 
-def _pair_iou(pred: Detection, gt: GroundTruth, box_mode: str) -> float:
-    if box_mode == "hbb":
-        return rect_iou(enclosing_hbb(pred.quad), enclosing_hbb(gt.quad))
-    return iou_obb(pred.quad, gt.quad)
+def check_settings(
+    iou_threshold: float,
+    box_mode: str,
+    conf_threshold: float | None = None,
+    interpolation: str = "all_points",
+) -> None:
+    """Raise ConfigError on a setting that evaluate cannot use."""
+    if not 0.0 < iou_threshold < 1.0:
+        raise ConfigError(f"iou threshold must be in (0, 1), got {iou_threshold}")
+    if box_mode not in ("obb", "hbb"):
+        raise ConfigError(f"box mode must be 'obb' or 'hbb', got {box_mode!r}")
+    if conf_threshold is not None and not 0.0 <= conf_threshold <= 1.0:
+        raise ConfigError(f"confidence threshold must be in [0, 1], got {conf_threshold}")
+    if interpolation not in INTERPOLATIONS:
+        raise ConfigError(f"unknown interpolation {interpolation!r}")
 
 
 def match_frame(
@@ -111,12 +127,11 @@ def match_frame(
 
     Returns one record per non-degenerate prediction, in descending
     confidence order per class.  Each ground truth is claimed at most
-    once.  Degenerate quads on either side are dropped (audited).
+    once.  Degenerate quads on either side are dropped (audited).  Only
+    same-class pairs whose enclosing boxes overlap or touch are compared;
+    any other pair has IoU 0.
     """
-    if not 0.0 < iou_threshold < 1.0:
-        raise ConfigError(f"iou threshold must be in (0, 1), got {iou_threshold}")
-    if box_mode not in ("obb", "hbb"):
-        raise ConfigError(f"box mode must be 'obb' or 'hbb', got {box_mode!r}")
+    check_settings(iou_threshold, box_mode)
 
     live_gts: list[tuple[int, GroundTruth]] = []
     for i, gt in enumerate(gts):
@@ -137,16 +152,38 @@ def match_frame(
         order.append(i)
     order.sort(key=lambda i: (-preds[i].confidence, i))
 
+    # candidates[row]: positions in live_gts, ascending, of the same-class
+    # ground truths whose enclosing box overlaps or touches prediction order[row]'s;
+    # ascending, so the first ground truth with the best IoU still wins a tie
+    candidates: list[list[int]] = [[] for _ in order]
+    if order and live_gts:
+        pb = enclosing_bounds(np.stack([preds[i].quad for i in order]))
+        gb = enclosing_bounds(np.stack([gt.quad for _, gt in live_gts]))
+        pred_classes = np.array([preds[i].class_id for i in order])
+        same_class = pred_classes[:, None] == np.array([gt.class_id for _, gt in live_gts])
+        overlap = (
+            (pb[:, None, 0] <= gb[:, 2])
+            & (gb[:, 0] <= pb[:, None, 2])
+            & (pb[:, None, 1] <= gb[:, 3])
+            & (gb[:, 1] <= pb[:, None, 3])
+        )
+        rows, cols = np.nonzero(same_class & overlap)
+        for row, k in zip(rows.tolist(), cols.tolist()):
+            candidates[row].append(k)
+        if box_mode == "hbb":
+            hbb_ious = rect_ious(pb, gb).tolist()
+
     taken: set[int] = set()
     records: list[MatchRecord] = []
-    for i in order:
+    for row, i in enumerate(order):
         pred = preds[i]
         best_iou = 0.0
         best_gt: int | None = None
-        for gt_idx, gt in live_gts:
-            if gt_idx in taken or gt.class_id != pred.class_id:
+        for k in candidates[row]:
+            gt_idx, gt = live_gts[k]
+            if gt_idx in taken:
                 continue
-            iou = _pair_iou(pred, gt, box_mode)
+            iou = hbb_ious[row][k] if box_mode == "hbb" else iou_obb(pred.quad, gt.quad)
             if iou > best_iou:
                 best_iou = iou
                 best_gt = gt_idx

@@ -25,9 +25,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .geometry import canonical_order, degenerate_mask, normalize_quad
+from .geometry import canonical_order, degenerate_mask
+from .geometry import normalize_quad  # noqa: F401 - bound for the benchmark's layer tracer
 
 COORD_TOL = 1e-6  # slack for normalized label coordinates at the frame edge
+
+INT64_MAX = 2**63 - 1  # frame indices and class ids end up in int64 arrays
 
 IMAGE_EXTENSIONS = (".jpg", ".jpeg", ".png", ".bmp", ".tif", ".tiff", ".webp")
 
@@ -144,6 +147,76 @@ class Detection:
 # Ground-truth label lines
 
 
+def _label_values(fields: list[str], n_classes: int | None) -> tuple[int, list[float]]:
+    """Class id and the 8 normalized coordinates of one label line's fields; DataError names the fault."""
+    if len(fields) != 9:
+        raise DataError(f"expected 9 fields, got {len(fields)}")
+    cls_tok = fields[0]
+    try:
+        class_id = int(cls_tok)
+    except ValueError:
+        raise DataError(f"class id must be an integer, got {cls_tok!r}") from None
+    if class_id < 0:
+        raise DataError(f"class id must be non-negative, got {class_id}")
+    if class_id > INT64_MAX:
+        raise DataError(f"class id {class_id} too large")
+    if n_classes is not None and class_id >= n_classes:
+        raise DataError(f"unknown class id {class_id} (class map has {n_classes} classes)")
+    coords = []
+    for tok in fields[1:]:
+        try:
+            val = float(tok)
+        except ValueError:
+            raise DataError(f"non-numeric token {tok!r}") from None
+        if not math.isfinite(val):
+            raise DataError(f"non-finite coordinate {tok!r}")
+        coords.append(val)
+    for val in coords:
+        if val < -COORD_TOL or val > 1.0 + COORD_TOL:
+            raise DataError(f"coordinate {val!r} outside [0, 1]")
+    return class_id, coords
+
+
+def _parse_label_lines(
+    lines: Iterable[str],
+    first_line_no: int,
+    meta: FrameMeta,
+    n_classes: int | None,
+    frame_id: str,
+) -> tuple[list[GroundTruth], list[int], list[tuple[int, str]]]:
+    """Parse label lines; blank lines are not records.
+
+    Returns the ground truths, the line number of each, and
+    ``(line number, reason)`` of every malformed line, in line order.
+    The quads of all lines are canonicalized and flagged with one
+    ``canonical_order`` and one ``degenerate_mask`` call.
+    """
+    class_ids: list[int] = []
+    coords: list[float] = []
+    line_nos: list[int] = []
+    faults: list[tuple[int, str]] = []
+    for line_no, line in enumerate(lines, start=first_line_no):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            class_id, values = _label_values(fields, n_classes)
+        except DataError as exc:
+            faults.append((line_no, str(exc)))
+            continue
+        class_ids.append(class_id)
+        coords.extend(values)
+        line_nos.append(line_no)
+    raw = np.array(coords).reshape(-1, 4, 2) * (meta.width, meta.height)
+    quads = canonical_order(raw)
+    flags = degenerate_mask(raw).tolist()
+    gts = [
+        GroundTruth(frame_id=frame_id, class_id=class_id, quad=quad, degenerate=flag)
+        for class_id, quad, flag in zip(class_ids, quads, flags)
+    ]
+    return gts, line_nos, faults
+
+
 def parse_obb_label_line(
     line: str,
     meta: FrameMeta,
@@ -157,33 +230,12 @@ def parse_obb_label_line(
     coordinates outside [0, 1] (beyond COORD_TOL) and unknown class
     ids.  Degenerate quads are accepted but flagged.
     """
-    fields = line.split()
-    if len(fields) != 9:
-        raise ParseError(f"expected 9 fields, got {len(fields)}", line_no)
-    cls_tok = fields[0]
-    try:
-        class_id = int(cls_tok)
-    except ValueError:
-        raise ParseError(f"class id must be an integer, got {cls_tok!r}", line_no) from None
-    if class_id < 0:
-        raise ParseError(f"class id must be non-negative, got {class_id}", line_no)
-    if n_classes is not None and class_id >= n_classes:
-        raise ParseError(f"unknown class id {class_id} (class map has {n_classes} classes)", line_no)
-    coords = []
-    for tok in fields[1:]:
-        try:
-            val = float(tok)
-        except ValueError:
-            raise ParseError(f"non-numeric token {tok!r}", line_no) from None
-        if not math.isfinite(val):
-            raise ParseError(f"non-finite coordinate {tok!r}", line_no)
-        coords.append(val)
-    for val in coords:
-        if val < -COORD_TOL or val > 1.0 + COORD_TOL:
-            raise ParseError(f"coordinate {val!r} outside [0, 1]", line_no)
-    raw = np.array(coords).reshape(4, 2) * (meta.width, meta.height)
-    quad, degenerate = normalize_quad(raw)
-    return GroundTruth(frame_id=frame_id, class_id=class_id, quad=quad, degenerate=degenerate)
+    gts, _, faults = _parse_label_lines([line], 1, meta, n_classes, frame_id)
+    if faults:
+        raise ParseError(faults[0][1], line_no)
+    if not gts:
+        raise ParseError("expected 9 fields, got 0", line_no)
+    return gts[0]
 
 
 def serialize_obb_label_line(gt: GroundTruth, meta: FrameMeta) -> str:
@@ -203,31 +255,24 @@ def read_label_file(
 ) -> list[GroundTruth]:
     """Read one label file; blank lines are skipped.
 
-    In lax mode malformed lines are reported as warnings, skipped and
-    counted in ``stats["skipped"]``; in strict mode the first malformed
-    line raises.  Degenerate quads are kept, flagged and reported.
+    In lax mode malformed lines are reported as ``<path>:<line>: skipped:
+    <reason>`` warnings, skipped and counted in ``stats["skipped"]``; in
+    strict mode the first malformed line raises.  Degenerate quads are
+    kept, flagged and reported.
     """
     path = Path(path)
-    stem = path.stem
-    out: list[GroundTruth] = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                gt = parse_obb_label_line(line, meta, n_classes, line_no, frame_id=stem)
-            except ParseError as exc:
-                if strict:
-                    raise ParseError(f"{path}: {exc}") from None
-                if warnings is not None:
-                    warnings.append(f"{path}:{line_no}: skipped: {exc}")
-                if stats is not None:
-                    stats["skipped"] = stats.get("skipped", 0) + 1
-                continue
-            if gt.degenerate and warnings is not None:
-                warnings.append(f"{path}:{line_no}: degenerate quad flagged")
-            out.append(gt)
-    return out
+        gts, line_nos, faults = _parse_label_lines(fh, 1, meta, n_classes, path.stem)
+    if strict and faults:
+        line_no, reason = faults[0]
+        raise ParseError(f"{path}: line {line_no}: {reason}")
+    if stats is not None:
+        stats["skipped"] = stats.get("skipped", 0) + len(faults)
+    if warnings is not None:
+        notes = [(line_no, f"skipped: {reason}") for line_no, reason in faults]
+        notes += [(line_no, "degenerate quad flagged") for line_no, gt in zip(line_nos, gts) if gt.degenerate]
+        warnings.extend(f"{path}:{line_no}: {note}" for line_no, note in sorted(notes))
+    return gts
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +300,8 @@ def validate_detection_obj(
     frame = obj["frame"]
     if isinstance(frame, bool) or not isinstance(frame, int) or frame < 0:
         raise DataError("field 'frame' must be a non-negative integer")
+    if frame > INT64_MAX:
+        raise DataError(f"frame index {frame} too large")
     if meta is not None and meta.frame_count > 0 and frame >= meta.frame_count:
         raise DataError(f"frame index {frame} outside video of {meta.frame_count} frames")
     cls = obj["class"]
@@ -267,6 +314,8 @@ def validate_detection_obj(
     elif isinstance(cls, int):
         if cls < 0:
             raise DataError(f"class id must be non-negative, got {cls}")
+        if cls > INT64_MAX:
+            raise DataError(f"class id {cls} too large")
         if class_map is not None and cls >= len(class_map):
             raise DataError(f"class id {cls} outside class map of {len(class_map)} entries")
         class_id = cls
@@ -276,15 +325,21 @@ def validate_detection_obj(
     if not isinstance(poly, list) or len(poly) != 4:
         n = len(poly) if isinstance(poly, list) else poly
         raise DataError(f"expected 4 vertices, got {n!r}")
-    for pt in poly:
-        if not isinstance(pt, (list, tuple)) or len(pt) != 2:
-            raise DataError(f"vertex must be an [x, y] pair, got {pt!r}")
-        for v in pt:
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise DataError(f"non-finite or non-numeric coordinate {v!r}")
+    try:  # math.isfinite raises OverflowError on an integer beyond the float range
+        for pt in poly:
+            if not isinstance(pt, (list, tuple)) or len(pt) != 2:
+                raise DataError(f"vertex must be an [x, y] pair, got {pt!r}")
+            for v in pt:
+                if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+                    raise DataError(f"non-finite or non-numeric coordinate {v!r}")
+    except OverflowError:
+        raise DataError("coordinate too large for a float") from None
     conf = obj["conf"]
-    if isinstance(conf, bool) or not isinstance(conf, (int, float)) or not math.isfinite(conf):
-        raise DataError(f"confidence must be a number, got {conf!r}")
+    try:
+        if isinstance(conf, bool) or not isinstance(conf, (int, float)) or not math.isfinite(conf):
+            raise DataError(f"confidence must be a number, got {conf!r}")
+    except OverflowError:
+        raise DataError("confidence too large for a float") from None
     if conf < 0.0 or conf > 1.0:
         raise DataError(f"confidence {conf!r} out of range [0, 1]")
     return video_id, frame, class_id, poly, float(conf)

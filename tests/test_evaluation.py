@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from obbkit import evaluation, geometry
 from obbkit.errors import ConfigError, DataError
 from obbkit.evaluation import (
     MatchAudit,
@@ -12,9 +16,12 @@ from obbkit.evaluation import (
     iou_threshold_histogram,
     match_frame,
 )
-from obbkit.formats import Detection, GroundTruth
-from obbkit.geometry import quad_from_rect
-from oracles import brute_force_ap
+from obbkit.formats import Detection, FrameMeta, GroundTruth
+from obbkit.geometry import iou_obb, quad_from_rect
+from obbkit.pipeline import load_ground_truth, load_predictions
+from oracles import brute_force_ap, match_frame_reference
+
+BENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
 
 def det(video, frame, cls, quad, conf, degenerate=False):
@@ -276,3 +283,96 @@ class TestEvaluate:
         sweep = map_sweep(preds, gts, thresholds=(0.5, 0.6, 0.7, 0.8, 0.9))
         vals = [sweep[t] for t in sorted(sweep)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def _bench_gen():
+    """The benchmark's input generator module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", BENCH_GEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_matches_reference(preds, gts, modes=("obb", "hbb"), thresholds=(0.3, 0.5, 0.75)):
+    for mode in modes:
+        for t in thresholds:
+            got = match_frame(preds, gts, t, mode, frame_id="f")
+            want = match_frame_reference(preds, gts, t, mode, frame_id="f")
+            assert got == want, (mode, t)
+
+
+def _diamond(cx, cy, r):
+    return np.array([[cx, cy - r], [cx + r, cy], [cx, cy + r], [cx - r, cy]], float)
+
+
+class TestPrefilteredMatching:
+    """match_frame against the per-pair greedy matcher it replaced, record for record."""
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_generated_splits(self, tmp_path, monkeypatch, seed):
+        gen = _bench_gen()
+        gen.gen_labeled_split(tmp_path, seed, n_images=8)
+        meta = FrameMeta(width=gen.WIDTH, height=gen.HEIGHT)
+        gts, _ = load_ground_truth(tmp_path / "split", meta, None, False, [])
+        preds, _ = load_predictions(tmp_path / "predictions.jsonl", None, None, False, [])
+        calls = {"prefiltered": 0, "reference": 0}
+
+        def counted(name, fn):
+            def wrapper(a, b):
+                calls[name] += 1
+                return fn(a, b)
+
+            return wrapper
+
+        monkeypatch.setattr(evaluation, "iou_obb", counted("prefiltered", iou_obb))
+        monkeypatch.setattr(geometry, "iou_obb", counted("reference", iou_obb))
+        frames = sorted({g.frame_id for g in gts})
+        assert len(frames) == 8
+        for frame in frames:
+            _assert_matches_reference(
+                [p for p in preds if p.video_id == frame], [g for g in gts if g.frame_id == frame]
+            )
+        assert 0 < calls["prefiltered"] < calls["reference"]
+
+    @pytest.mark.parametrize("mode", ["obb", "hbb"])
+    def test_equal_iou_and_equal_confidence(self, mode):
+        g = quad_from_rect(50, 50, 10, 10, 0)
+        left, right = quad_from_rect(40, 80, 10, 10, 0), quad_from_rect(50, 80, 10, 10, 0)
+        mid = quad_from_rect(45, 80, 10, 10, 0)  # IoU 1/3 with left and with right, exactly
+        preds = [det("f", 0, 0, g, 0.7), det("f", 0, 0, g, 0.7), det("f", 0, 0, mid, 0.7)]
+        gts = [gt("f", 0, g), gt("f", 0, right), gt("f", 0, left)]
+        records = match_frame(preds, gts, 0.3, mode)
+        assert [(r.pred_index, r.gt_index, r.tp) for r in records] == [(0, 0, True), (1, None, False), (2, 1, True)]
+        assert records[2].iou == 1.0 / 3.0
+        _assert_matches_reference(preds, gts, modes=(mode,))
+
+    def test_touching_boxes(self):
+        g = [[0, 0], [10, 0], [10, 10], [0, 10]]
+        edge = [[10, 0], [20, 0], [20, 10], [10, 10]]
+        corner = [[10, 10], [20, 10], [20, 20], [10, 20]]
+        preds = [det("f", 0, 0, edge, 0.9), det("f", 0, 0, corner, 0.8)]
+        gts = [gt("f", 0, g)]
+        for mode in ("obb", "hbb"):
+            records = match_frame(preds, gts, 0.5, mode)
+            assert [(r.tp, r.iou) for r in records] == [(False, 0.0), (False, 0.0)]
+        _assert_matches_reference(preds, gts)
+
+    def test_disjoint_enclosing_boxes(self):
+        a = _diamond(10, 10, 5)
+        apart = _diamond(21, 10, 5)  # enclosing boxes disjoint
+        near = _diamond(18, 18, 5)  # enclosing boxes overlap, diamonds do not
+        rot = quad_from_rect(40, 10, 12, 4, 30)
+        rot_apart = quad_from_rect(60, 30, 12, 4, 120)
+        assert iou_obb(a, apart) == 0.0
+        assert iou_obb(a, near) == 0.0
+        assert iou_obb(rot, rot_apart) == 0.0
+        preds = [det("f", 0, 0, apart, 0.9), det("f", 0, 0, near, 0.8), det("f", 0, 1, rot_apart, 0.7)]
+        gts = [gt("f", 0, a), gt("f", 1, rot)]
+        assert all(not r.tp and r.iou == 0.0 for r in match_frame(preds, gts))
+        _assert_matches_reference(preds, gts)
+
+    def test_toy_instances(self):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            preds, gts = _toy_instance(rng, n_frames=1, n_classes=2)
+            _assert_matches_reference(preds, gts)

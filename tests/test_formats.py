@@ -23,6 +23,7 @@ from obbkit.formats import (
     write_table_csv,
 )
 from conftest import detection_line
+from oracles import normalize_quad_reference, random_convex_quad
 from obbkit.geometry import normalize_quad, polygon_area
 from obbkit.geometry import quad_from_rect
 
@@ -335,6 +336,51 @@ class TestLabelFile:
         path.write_text("bad line\n", encoding="utf-8")
         with pytest.raises(ParseError):
             read_label_file(path, META_100, strict=True)
+
+    def test_warning_text_names_the_line_once(self, tmp_path):
+        path = tmp_path / "labels" / "f0.txt"
+        path.parent.mkdir()
+        path.write_text(
+            "0 0.1 0.1 0.2 0.1 0.2 0.2 0.1 0.2\n"
+            "oops\n"
+            "\n"
+            "0 0.1 0.1 0.2 0.2 0.2 0.1 0.1 0.2\n"  # bow-tie: kept and flagged
+            "0 0.1 0.1 0.2 0.1 0.2 0.2 0.1 1.5\n",
+            encoding="utf-8",
+        )
+        warnings: list[str] = []
+        stats: dict = {}
+        gts = read_label_file(path, META_100, warnings=warnings, stats=stats)
+        assert [gt.degenerate for gt in gts] == [False, True]
+        assert warnings == [
+            f"{path}:2: skipped: expected 9 fields, got 1",
+            f"{path}:4: degenerate quad flagged",
+            f"{path}:5: skipped: coordinate 1.5 outside [0, 1]",
+        ]
+        assert stats == {"skipped": 2}
+        with pytest.raises(ParseError, match=r"f0.txt: line 2: expected 9 fields, got 1$"):
+            read_label_file(path, META_100, strict=True)
+
+    def test_file_quads_match_the_scalar_reference(self, tmp_path):
+        rng = np.random.default_rng(23)
+        meta = FrameMeta(width=1280.0, height=720.0)
+        lines = []
+        for i in range(400):
+            quad = random_convex_quad(rng, rng.uniform(0.2, 0.8, 2), rng.uniform(0.01, 0.2))
+            if i % 3 == 0:
+                quad = quad[rng.permutation(4)]  # shuffled vertices: some bow-ties
+            lines.append(f"{i % 7} " + " ".join(format(v, ".9g") for v in np.clip(quad, 0.0, 1.0).reshape(-1)))
+        path = tmp_path / "f.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        gts = read_label_file(path, meta)
+        assert len(gts) == len(lines)
+        for line, gt in zip(lines, gts):
+            raw = np.array([float(t) for t in line.split()[1:]]).reshape(4, 2) * (meta.width, meta.height)
+            quad, degenerate = normalize_quad_reference(raw)
+            assert gt.quad.tobytes() == quad.tobytes()
+            assert gt.degenerate == degenerate
+            one = parse_obb_label_line(line, meta)
+            assert one.quad.tobytes() == gt.quad.tobytes() and one.degenerate == gt.degenerate
 
 
 class TestReportTables:

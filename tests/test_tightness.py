@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from obbkit.errors import ConfigError, GeometryError
 from obbkit.geometry import quad_from_rect
+from oracles import random_convex_quad, tr_sample_reference
 from obbkit.tightness import (
     TRSample,
     bin_by_orientation,
@@ -171,3 +172,54 @@ class TestTrSample:
         assert s.class_id == 4
         assert s.orientation_deg == pytest.approx(30.0, abs=1e-9)
         assert s.tr == pytest.approx(tr_rect_closed_form(2, 1, 30), rel=1e-12)
+
+
+def _quad_mix(rng) -> tuple[np.ndarray, int]:
+    """2,000 quads: 500 axis-aligned, 500 rectangles at 45 degrees, 500 squares, 500 random convex."""
+    quads = []
+    for i in range(2000):
+        cx, cy = rng.uniform(-200, 1500, 2)
+        w, h = rng.uniform(0.5, 300, 2)
+        if i < 500:
+            quads.append(quad_from_rect(cx, cy, w, h, 0.0))  # exactly axis-aligned; h > w gives 90 degrees
+        elif i < 1000:
+            quads.append(quad_from_rect(cx, cy, w, h, 45.0))
+        elif i < 1500:
+            quads.append(quad_from_rect(cx, cy, w, w, float(rng.uniform(0, 180))))
+        else:
+            quads.append(random_convex_quad(rng, (cx, cy), w))
+    return np.stack(quads), 500
+
+
+class TestBatchTrSample:
+    def test_batch_equals_one_quad_route(self):
+        rng = np.random.default_rng(17)
+        quads, block = _quad_mix(rng)
+        ids = rng.integers(0, 9, len(quads)).tolist()
+        batch = tr_sample(quads, "ground_truth", ids)
+        assert batch == [tr_sample(q, "ground_truth", c) for q, c in zip(quads, ids)]
+        assert all(s.tr == 1.0 for s in batch[:block])
+        assert all(s.orientation_deg in (0.0, 90.0) for s in batch[:block])
+        assert all(s.orientation_deg == pytest.approx(45.0, abs=1e-9) for s in batch[block : 2 * block])
+        assert all(s.tr == tightness_ratio(q) for s, q in zip(batch, quads))
+
+    def test_against_scalar_reference(self):
+        rng = np.random.default_rng(19)
+        quads, _ = _quad_mix(rng)
+        for s, q in zip(tr_sample(quads, "prediction", [0] * len(quads)), quads):
+            tr, angle = tr_sample_reference(q)
+            assert s.tr == pytest.approx(tr, rel=1e-12, abs=0.0)
+            assert s.orientation_deg == pytest.approx(angle, rel=0.0, abs=1e-9)
+
+    def test_empty_and_invalid_batches(self):
+        assert tr_sample(np.zeros((0, 4, 2)), "prediction", []) == []
+        bowtie = [[0, 0], [1, 1], [1, 0], [0, 1]]
+        good = quad_from_rect(5, 5, 2, 1, 10)
+        with pytest.raises(GeometryError):
+            tr_sample(np.stack([good, bowtie]), "prediction", [0, 0])
+        with pytest.raises(GeometryError):
+            tr_sample(np.zeros((2, 3, 2)), "prediction", [0, 0])
+        with pytest.raises(GeometryError):
+            tr_sample(np.stack([good, good * np.nan]), "prediction", [0, 0])
+        with pytest.raises(ValueError):
+            tr_sample(np.stack([good, good]), "prediction", [0])
