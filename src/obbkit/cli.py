@@ -11,6 +11,7 @@ verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -175,57 +176,34 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
 
 
+_CONFIG_NAMES = {"format": "fmt", "out": "out_dir", "labels": "labels_dir"}  # flag -> config field
+
+
+def _config(cls, args, **computed):
+    """A command config from the flags named like its fields, plus the ``computed`` fields."""
+    names = {f.name for f in dataclasses.fields(cls)} - computed.keys()
+    flags = {_CONFIG_NAMES.get(k, k): v for k, v in vars(args).items()}
+    return cls(**{k: v for k, v in flags.items() if k in names}, **computed)
+
+
 def _dispatch(args) -> int:
     echo = _config_echo(args)
     if args.command == "analyze":
         meta = _resolve_meta(args, require_dims=True)
-        cfg = pipeline.AnalyzeConfig(
-            detections=args.detections,
-            meta=meta,
-            out_dir=args.out,
-            class_map=_load_classes(args),
-            conf_threshold=args.conf_threshold,
-            top_k=args.top_k,
-            min_run=args.min_run,
-            max_gap=args.max_gap,
-            fmt=args.format,
-            jobs=args.jobs,
-            strict=args.strict,
-        )
+        cfg = _config(pipeline.AnalyzeConfig, args, meta=meta, class_map=_load_classes(args))
         report = pipeline.run_analyze(cfg, echo)
     elif args.command == "evaluate":
         meta = _resolve_meta(args, require_dims=True)
         if not args.labels.is_dir():
             raise ConfigError(f"labels directory not found: {args.labels}")
-        cfg = pipeline.EvaluateConfig(
-            labels_dir=args.labels,
-            detections=args.detections,
-            meta=meta,
-            out_dir=args.out,
-            class_map=_load_classes(args),
-            iou_threshold=args.iou_threshold,
-            box_mode=args.box_mode,
-            conf_threshold=args.conf_threshold,
-            interpolation=args.interpolation,
-            fmt=args.format,
-            strict=args.strict,
-        )
+        cfg = _config(pipeline.EvaluateConfig, args, meta=meta, class_map=_load_classes(args))
         report = pipeline.run_evaluate(cfg, echo)
     elif args.command == "fit":
         meta = _resolve_meta(args, require_dims=args.labels is not None)
-        cfg = pipeline.FitConfig(
-            out_dir=args.out,
-            labels_dir=args.labels,
-            detections=args.detections,
-            meta=meta,
-            class_map=_load_classes(args),
-            bin_width=args.bin_width,
-            fmt=args.format,
-            strict=args.strict,
-        )
+        cfg = _config(pipeline.FitConfig, args, meta=meta, class_map=_load_classes(args))
         report = pipeline.run_fit(cfg, echo)
     elif args.command == "losscheck":
-        cfg = pipeline.LossCheckConfig(params=_loss_params(args), out_dir=args.out)
+        cfg = _config(pipeline.LossCheckConfig, args, params=_loss_params(args))
         report, passed = pipeline.run_losscheck(cfg, echo)
         for check in report.summary["checks"]:
             status = "PASS" if check["passed"] else "FAIL"

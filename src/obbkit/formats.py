@@ -546,11 +546,7 @@ def format_cell(value) -> str:
 
 
 def write_table_csv(path: str | Path, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([format_cell(row.get(k)) for k in fieldnames])
+    write_table(path, fieldnames, rows, "csv")
 
 
 def read_table_csv(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
@@ -570,13 +566,43 @@ def write_json_report(path: str | Path, payload) -> None:
         fh.write("\n")
 
 
-def write_table(path: str | Path, fieldnames: list[str], rows: list[dict], fmt: str) -> None:
-    """Write a tabular report as CSV or as a JSON array of row objects."""
-    if fmt == "csv":
-        write_table_csv(path, fieldnames, rows)
-    elif fmt == "json":
-        payload = [{k: row.get(k) for k in fieldnames} for row in rows]
-        write_json_report(path, payload)
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")
+TABLE_BLOCK_ROWS = 65536  # rows formatted per write, so the text in memory stays bounded
 
+
+def _cell_texts(values, fmt: str) -> list[str]:
+    """One column's cells as report text: format_cell for CSV, JSON literals for JSON."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu" or (values.dtype.kind == "f" and (fmt == "csv" or np.isfinite(values).all())):
+            return list(map(repr, values.tolist()))  # int/float repr is both format_cell and json text
+        values = values.tolist()
+    return list(map(format_cell if fmt == "csv" else json.dumps, values))
+
+
+def write_table(path: str | Path, fieldnames: list[str], rows: list[dict] | dict, fmt: str) -> None:
+    """Write a tabular report as CSV or as a JSON array of row objects.
+
+    ``rows`` is a list of row dicts or a dict of equal-length columns
+    (lists or 1-D arrays) by field name.  Columns are formatted one at a
+    time, into the bytes ``csv.writer`` with format_cell, or
+    ``json.dump(indent=2)``, would write for the same rows.
+    """
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown report format {fmt!r}")
+    columns = rows if isinstance(rows, dict) else {k: [row.get(k) for row in rows] for k in fieldnames}
+    n = len(columns[fieldnames[0]])
+    fields = ",\n".join(f"    {json.dumps(k).replace('%', '%%')}: %s" for k in fieldnames)
+    json_row = ("  {\n" + fields + "\n  }").__mod__
+    with open(path, "w", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if fmt == "csv":
+            writer.writerow(fieldnames)
+        elif n:
+            fh.write("[\n")
+        for lo in range(0, n, TABLE_BLOCK_ROWS):
+            cells = zip(*(_cell_texts(columns[k][lo : lo + TABLE_BLOCK_ROWS], fmt) for k in fieldnames))
+            if fmt == "csv":
+                writer.writerows(cells)
+            else:
+                fh.write((",\n" if lo else "") + ",\n".join(map(json_row, cells)))
+        if fmt == "json":
+            fh.write("\n]\n" if n else "[]\n")

@@ -165,6 +165,93 @@ def _runs(z: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), ends.tolist()))
 
 
+@dataclass(frozen=True)
+class CoverageColumns:
+    """FrameCoverage fields as columns (``z`` as bool), ordered by brand, then frame."""
+
+    brands: np.ndarray
+    frames: np.ndarray
+    c: np.ndarray
+    z: np.ndarray
+    counts: np.ndarray
+
+
+def _starts(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the positions where any of the sorted key columns changes value."""
+    new = np.ones(keys[0].size, bool)
+    new[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+    return new
+
+
+def coverage_columns(frames: np.ndarray, classes: np.ndarray, areas: np.ndarray, frame_area: float) -> CoverageColumns:
+    """Reduce per-detection clipped areas to per-(brand, frame) coverage.
+
+    Each entry sums its areas sequentially in record order (np.add.at
+    over a stable sort), so the bits do not depend on how the records
+    were chunked.
+    """
+    order = np.lexsort((frames, classes))
+    brands, frames = classes[order], frames[order]
+    new = _starts(brands, frames)
+    first = np.flatnonzero(new)
+    sums = np.zeros(first.size)
+    np.add.at(sums, np.cumsum(new) - 1, areas[order])
+    c = np.minimum(1.0, sums / frame_area)
+    return CoverageColumns(brands[first], frames[first], c, c > 0.0, np.diff(first, append=brands.size))
+
+
+def filter_coverage(cov: CoverageColumns, min_run: int, max_gap: int) -> CoverageColumns:
+    """temporal_filter applied to every brand's visibility, in run space.
+
+    Costs O(entries plus bridged frames), whatever the frame count.
+    Bridged frames get c=0, z=1 and their original count (0 without an
+    entry); suppressed frames keep their counts and lose c and z.
+    """
+    if not cov.z.any():
+        return cov
+    vis = np.flatnonzero(cov.z)
+    vb, vf = cov.brands[vis], cov.frames[vis]
+    brk = _starts(vb, vf - np.arange(vf.size))  # a run continues while the frame steps by 1
+    run_b, run_s = vb[brk], vf[brk]
+    run_last = vf[np.append(np.flatnonzero(brk)[1:] - 1, vf.size - 1)]  # inclusive: no overflow at int64 max
+    bridge = np.zeros(run_b.size, bool)
+    bridge[1:] = (run_b[1:] == run_b[:-1]) & (run_s[1:] - run_last[:-1] <= max_gap + 1)
+    run_b, run_s, run_last = run_b[~bridge], run_s[~bridge], run_last[np.append(~bridge[1:], True)]
+    kept = run_last - run_s >= min_run - 1
+    run_b, run_s, lengths = run_b[kept], run_s[kept], (run_last - run_s)[kept] + 1
+    run_of = np.repeat(np.arange(lengths.size), lengths)
+    shown_f = run_s[run_of] + np.arange(run_of.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+    # sorted two-column join of the entries with the visible frames; an entry sorts first
+    all_b = np.concatenate([cov.brands, run_b[run_of]])
+    all_f = np.concatenate([cov.frames, shown_f])
+    order = np.lexsort((all_f, all_b))
+    new = _starts(all_b[order], all_f[order])
+    src = order[new]
+    has_entry = src < cov.brands.size
+    visible = (np.diff(np.append(np.flatnonzero(new), order.size)) == 2) | ~has_entry
+    entry = np.where(has_entry, src, 0)
+    c = np.where(visible & has_entry & cov.z[entry], cov.c[entry], 0.0)
+    return CoverageColumns(all_b[src], all_f[src], c, visible, np.where(has_entry, cov.counts[entry], 0))
+
+
+def aggregate_columns(cov: CoverageColumns, meta: FrameMeta) -> list[BrandMetrics]:
+    """aggregate_brand for every brand of the columns, brands ascending."""
+    first = np.flatnonzero(_starts(cov.brands))
+    bounds = np.append(first, cov.brands.size).tolist()
+    n_visible = np.add.reduceat(cov.z.astype(np.int64), first).tolist()
+    counts = np.add.reduceat(cov.counts, first).tolist()
+    c, weighted = cov.c.tolist(), (cov.c * cov.z).tolist()
+    out = []
+    for i, brand in enumerate(cov.brands[first].tolist()):
+        lo, hi = bounds[i], bounds[i + 1]
+        total, n = math.fsum(weighted[lo:hi]), n_visible[i]
+        present = 100.0 * total / n if n > 0 else 0.0
+        overall = 100.0 * total / meta.frame_count
+        out.append(BrandMetrics(brand, meta.dt * n, present, overall, 100.0 * max(c[lo:hi], default=0.0), counts[i], n))
+    return out
+
+
 def build_timeline(coverages: list[FrameCoverage], k: int, meta: FrameMeta) -> ExposureTimeline:
     """Per-brand coverage series and the top-K brands by exposure.
 
@@ -212,9 +299,9 @@ def timeline_rows(timeline: ExposureTimeline) -> list[dict]:
     return rows
 
 
-def ranking_rows(timeline: ExposureTimeline, names: dict[int, str] | None = None) -> list[dict]:
+def ranking_rows(ranking: list[tuple[int, float]], names: dict[int, str] | None = None) -> list[dict]:
     rows = []
-    for rank, (brand, exposure) in enumerate(timeline.ranking, start=1):
+    for rank, (brand, exposure) in enumerate(ranking, start=1):
         rows.append(
             {
                 "rank": rank,

@@ -12,11 +12,12 @@ same input produces byte-identical reports at any ``--jobs`` level.
 from __future__ import annotations
 
 import json  # noqa: F401 - bound for the benchmark's layer tracer
+import logging
 import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,10 @@ from .geometry import degenerate_mask  # noqa: F401 - bound for the benchmark's 
 from .losses import LossParams, run_loss_checks
 
 CHUNK_LINES = 8192
+SPARSE_FRAME_RATIO = 1000  # inferred frame counts above this many times the distinct frames get a warning
+VIDEO_ID_SAMPLES = 5  # video ids named in the mixed-video warning
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -126,12 +131,15 @@ class _ChunkResult:
     classes: np.ndarray
     areas: np.ndarray
     max_frame: int
+    distinct_frames: np.ndarray  # of the valid records at any confidence; empty when meta has a frame count
     warnings: list[str]
+    video_ids: list[str]  # the first VIDEO_ID_SAMPLES distinct ids, in line order
 
 
 def _analyze_chunk(task) -> _ChunkResult:
     lines, first_line_no, meta, class_map, conf_threshold, strict = task
     chunk = parse_detection_chunk(lines, first_line_no, class_map, meta, strict)
+    frames = np.array(chunk.frames, np.int64)
     confs = np.array(chunk.confs)
     above = confs >= conf_threshold
     rect = RectAA(0.0, 0.0, meta.width, meta.height)
@@ -139,11 +147,13 @@ def _analyze_chunk(task) -> _ChunkResult:
         chunk.n_records,
         chunk.n_skipped,
         int((~above).sum()),
-        np.array(chunk.frames, np.int64)[above],
+        frames[above],
         np.array(chunk.classes, np.int64)[above],
         clip_areas_to_rect(chunk.quads[above], rect),
         chunk.max_frame,
+        np.unique(frames) if meta.frame_count <= 0 else frames[:0],
         chunk.warnings,
+        list(dict.fromkeys(chunk.video_ids))[:VIDEO_ID_SAMPLES],
     )
 
 
@@ -189,8 +199,20 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
         n_frames = max_frame + 1
         if n_frames > 0:
             report.warnings.append(f"frame count not provided; inferred {n_frames} from detections")
+            distinct = np.unique(np.concatenate([c.distinct_frames for c in chunks])).size
+            if distinct * SPARSE_FRAME_RATIO < n_frames:
+                report.warnings.append(
+                    f"inferred frame count {n_frames} is over {SPARSE_FRAME_RATIO}x the {distinct} distinct "
+                    "frames with detections; check for an outlier frame index"
+                )
     if n_records == 0:
         report.warnings.append("empty detections input; reports contain no brands")
+    video_ids = list(dict.fromkeys(v for c in chunks for v in c.video_ids))[:VIDEO_ID_SAMPLES]
+    if len(video_ids) > 1:
+        logger.warning(
+            "detections of more than one video are merged into one timeline: %s",
+            ", ".join(map(repr, video_ids)),
+        )
 
     if chunks and any(c.frames.size for c in chunks):
         frames = np.concatenate([c.frames for c in chunks])
@@ -201,7 +223,7 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
         classes = np.zeros(0, np.int64)
         areas = np.zeros(0)
 
-    brand_metrics, timeline = _reduce_coverage(
+    brand_metrics, timeline, ranking = _reduce_coverage(
         frames, classes, areas, cfg.meta, n_frames, cfg.top_k, cfg.min_run, cfg.max_gap
     )
 
@@ -211,9 +233,10 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
     out_metrics = cfg.out_dir / f"brand_metrics.{suffix}"
     out_timeline = cfg.out_dir / f"timeline.{suffix}"
     out_ranking = cfg.out_dir / f"ranking.{suffix}"
+    timeline_columns = dict(zip(metrics.TIMELINE_FIELDS, (timeline.brands, timeline.frames, timeline.c)))
     write_table(out_metrics, metrics.BRAND_METRICS_FIELDS, metrics.metrics_rows(brand_metrics, names), fmt)
-    write_table(out_timeline, metrics.TIMELINE_FIELDS, metrics.timeline_rows(timeline), fmt)
-    write_table(out_ranking, metrics.RANKING_FIELDS, metrics.ranking_rows(timeline, names), fmt)
+    write_table(out_timeline, metrics.TIMELINE_FIELDS, timeline_columns, fmt)
+    write_table(out_ranking, metrics.RANKING_FIELDS, metrics.ranking_rows(ranking, names), fmt)
     report.outputs = [str(out_metrics), str(out_timeline), str(out_ranking)]
 
     used = n_records - n_skipped - n_below
@@ -228,7 +251,7 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
     }
     report.summary = {
         "top_brands": [
-            {"brand_id": b, "exposure_s": e} for b, e in timeline.ranking
+            {"brand_id": b, "exposure_s": e} for b, e in ranking
         ]
     }
     report.duration_s = time.perf_counter() - t0
@@ -245,85 +268,14 @@ def _reduce_coverage(
     top_k: int,
     min_run: int,
     max_gap: int,
-) -> tuple[list[metrics.BrandMetrics], metrics.ExposureTimeline]:
-    """Canonical-order reduction of per-detection areas to brand metrics."""
-    if frames.size == 0 or n_frames <= 0:
-        empty = metrics.ExposureTimeline(series={}, ranking=[])
-        return [], empty
-    eff_meta = FrameMeta(
-        width=meta.width, height=meta.height, fps=meta.fps, frame_count=n_frames, video_id=meta.video_id
-    )
-    if frames.max(initial=0) >= 2**32 or classes.max(initial=0) >= 2**31:
-        raise DataError("frame index or class id too large for the reduction key")
-    keys = classes * (2**32) + frames
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    sums = np.zeros(uniq.shape[0])
-    counts = np.zeros(uniq.shape[0], np.int64)
-    np.add.at(sums, inverse, areas)
-    np.add.at(counts, inverse, 1)
-    key_brands = (uniq >> 32).astype(np.int64)
-    key_frames = (uniq & 0xFFFFFFFF).astype(np.int64)
-    cov = np.minimum(1.0, sums / meta.frame_area)
-    z = (cov > 0.0).astype(np.int64)
-
-    coverages: dict[int, list[metrics.FrameCoverage]] = {}
-    for i in range(uniq.shape[0]):
-        brand = int(key_brands[i])
-        coverages.setdefault(brand, []).append(
-            metrics.FrameCoverage(
-                frame_index=int(key_frames[i]),
-                brand_id=brand,
-                c=float(cov[i]),
-                z=int(z[i]),
-                detection_count=int(counts[i]),
-            )
-        )
-
+) -> tuple[list[metrics.BrandMetrics], metrics.CoverageColumns, list[tuple[int, float]]]:
+    """Per-detection areas -> (brand metrics, filtered timeline columns, top-K (brand, exposure) ranking)."""
+    cov = metrics.coverage_columns(frames, classes, areas, meta.frame_area)
     if min_run > 1 or max_gap > 0:
-        coverages = {
-            brand: _filter_brand(entries, n_frames, min_run, max_gap)
-            for brand, entries in coverages.items()
-        }
-
-    brand_metrics = [
-        metrics.aggregate_brand(entries, eff_meta) for _, entries in sorted(coverages.items())
-    ]
-    all_cov = [cv for entries in coverages.values() for cv in entries]
-    timeline = metrics.build_timeline(all_cov, top_k, eff_meta)
-    return brand_metrics, timeline
-
-
-def _filter_brand(
-    entries: list[metrics.FrameCoverage], n_frames: int, min_run: int, max_gap: int
-) -> list[metrics.FrameCoverage]:
-    """Apply the temporal filter to one brand's coverage entries.
-
-    Bridged frames appear with zero coverage (presence only);
-    suppressed frames keep their detection counts but lose presence
-    and coverage.
-    """
-    z = np.zeros(n_frames, np.int8)
-    by_frame = {e.frame_index: e for e in entries}
-    for e in entries:
-        z[e.frame_index] = e.z
-    z_f = metrics.temporal_filter(z, min_run=min_run, max_gap=max_gap)
-    out: list[metrics.FrameCoverage] = []
-    brand = entries[0].brand_id
-    touched = sorted(set(by_frame) | set(np.flatnonzero(z_f != 0).tolist()))
-    for frame in touched:
-        orig = by_frame.get(frame)
-        visible = bool(z_f[frame])
-        had_area = orig is not None and orig.z == 1
-        out.append(
-            metrics.FrameCoverage(
-                frame_index=frame,
-                brand_id=brand,
-                c=orig.c if (visible and had_area) else 0.0,
-                z=1 if visible else 0,
-                detection_count=orig.detection_count if orig is not None else 0,
-            )
-        )
-    return out
+        cov = metrics.filter_coverage(cov, min_run, max_gap)
+    brand_metrics = metrics.aggregate_columns(cov, replace(meta, frame_count=n_frames))
+    ranking = sorted(((m.brand_id, m.exposure_s) for m in brand_metrics), key=lambda item: (-item[1], item[0]))
+    return brand_metrics, cov, ranking[:top_k]
 
 
 # ---------------------------------------------------------------------------

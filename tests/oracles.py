@@ -330,3 +330,102 @@ def tr_sample_reference(quad) -> tuple[float, float]:
     edge = e[1] if pair1 > pair0 * (1.0 + 1e-12) and pair1 - pair0 > EDGE_TOL else e[0]
     ang = math.degrees(math.atan2(edge[1], edge[0])) % 180.0
     return tr, (180.0 - ang if ang > 90.0 else ang)
+
+
+def reduce_coverage_reference(frames, classes, areas, meta, n_frames, top_k, min_run, max_gap):
+    """The object-per-(brand, frame) reduction and dense per-brand temporal filter of analyze.
+
+    Returns ``(brand metrics, ExposureTimeline)``.  Its ``np.zeros(n_frames)``
+    per brand makes memory grow with the frame count, so run it on small videos.
+    """
+    from obbkit import metrics
+    from obbkit.errors import DataError
+    from obbkit.formats import FrameMeta
+
+    def _filter_brand(entries, n_frames, min_run, max_gap):
+        z = np.zeros(n_frames, np.int8)
+        by_frame = {e.frame_index: e for e in entries}
+        for e in entries:
+            z[e.frame_index] = e.z
+        z_f = metrics.temporal_filter(z, min_run=min_run, max_gap=max_gap)
+        out = []
+        brand = entries[0].brand_id
+        touched = sorted(set(by_frame) | set(np.flatnonzero(z_f != 0).tolist()))
+        for frame in touched:
+            orig = by_frame.get(frame)
+            visible = bool(z_f[frame])
+            had_area = orig is not None and orig.z == 1
+            out.append(
+                metrics.FrameCoverage(
+                    frame_index=frame,
+                    brand_id=brand,
+                    c=orig.c if (visible and had_area) else 0.0,
+                    z=1 if visible else 0,
+                    detection_count=orig.detection_count if orig is not None else 0,
+                )
+            )
+        return out
+
+    if frames.size == 0 or n_frames <= 0:
+        empty = metrics.ExposureTimeline(series={}, ranking=[])
+        return [], empty
+    eff_meta = FrameMeta(
+        width=meta.width, height=meta.height, fps=meta.fps, frame_count=n_frames, video_id=meta.video_id
+    )
+    if frames.max(initial=0) >= 2**32 or classes.max(initial=0) >= 2**31:
+        raise DataError("frame index or class id too large for the reduction key")
+    keys = classes * (2**32) + frames
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    sums = np.zeros(uniq.shape[0])
+    counts = np.zeros(uniq.shape[0], np.int64)
+    np.add.at(sums, inverse, areas)
+    np.add.at(counts, inverse, 1)
+    key_brands = (uniq >> 32).astype(np.int64)
+    key_frames = (uniq & 0xFFFFFFFF).astype(np.int64)
+    cov = np.minimum(1.0, sums / meta.frame_area)
+    z = (cov > 0.0).astype(np.int64)
+
+    coverages = {}
+    for i in range(uniq.shape[0]):
+        brand = int(key_brands[i])
+        coverages.setdefault(brand, []).append(
+            metrics.FrameCoverage(
+                frame_index=int(key_frames[i]),
+                brand_id=brand,
+                c=float(cov[i]),
+                z=int(z[i]),
+                detection_count=int(counts[i]),
+            )
+        )
+
+    if min_run > 1 or max_gap > 0:
+        coverages = {
+            brand: _filter_brand(entries, n_frames, min_run, max_gap)
+            for brand, entries in coverages.items()
+        }
+
+    brand_metrics = [
+        metrics.aggregate_brand(entries, eff_meta) for _, entries in sorted(coverages.items())
+    ]
+    all_cov = [cv for entries in coverages.values() for cv in entries]
+    timeline = metrics.build_timeline(all_cov, top_k, eff_meta)
+    return brand_metrics, timeline
+
+
+def write_table_reference(path, fieldnames, rows, fmt) -> None:
+    """The row-at-a-time report writer: csv.writer over format_cell, or json.dump(indent=2)."""
+    import csv
+    import json
+
+    from obbkit.formats import format_cell
+
+    if fmt == "csv":
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(fieldnames)
+            for row in rows:
+                writer.writerow([format_cell(row.get(k)) for k in fieldnames])
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump([{k: row.get(k) for k in fieldnames} for row in rows], fh, indent=2)
+            fh.write("\n")

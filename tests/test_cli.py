@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -681,3 +682,87 @@ class TestExitCodes:
         assert float(by_metric["map50"][0]["value"]) == pytest.approx(5.0 / 6.0, abs=1e-9)
         assert len(by_metric["iou_fraction"]) == 5
         assert len(by_metric["ap"]) == 1
+
+
+class TestOutlierFrameIndex:
+    """One record far beyond the other frames costs no memory per frame and fails no run."""
+
+    QUAD = quad_from_rect(50, 50, 20, 10, 0)
+
+    def _stream(self, path: Path, frames) -> Path:
+        path.write_text("".join(detection_line("v", f, 0, self.QUAD, 0.9) + "\n" for f in frames))
+        return path
+
+    def test_frame_beyond_32_bits_without_frame_count(self, tmp_path, capsys):
+        dets = self._stream(tmp_path / "dets.jsonl", [0, 1, 2**40])
+        meta = write_meta(tmp_path / "meta.json", frames=0)
+        code = main(["analyze", "--detections", str(dets), "--meta", str(meta), "--out", str(tmp_path / "o"), "--min-run", "3"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["counts"]["records_accepted"] == 3
+        assert report["counts"]["frames"] == 2**40 + 1
+        assert report["warnings"][1] == (
+            f"inferred frame count {2**40 + 1} is over 1000x the 3 distinct frames with detections; "
+            "check for an outlier frame index"
+        )
+        _, rows = read_table_csv(tmp_path / "o" / "timeline.csv")
+        assert [r["frame_index"] for r in rows] == ["0", "1", str(2**40)]  # runs shorter than 3 suppressed
+
+    def test_frame_beyond_32_bits_outside_frame_count(self, tmp_path, capsys):
+        dets = self._stream(tmp_path / "dets.jsonl", [0, 1, 2**40])
+        meta = write_meta(tmp_path / "meta.json", frames=4)
+        code = main(["analyze", "--detections", str(dets), "--meta", str(meta), "--out", str(tmp_path / "o"), "--min-run", "3"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["warnings"] == [f"line 3: skipped: frame index {2**40} outside video of 4 frames"]
+        assert report["counts"]["records_skipped"] == 1
+
+    def test_memory_does_not_grow_with_the_frame_count(self, tmp_path, capsys):
+        dets = self._stream(tmp_path / "dets.jsonl", [0, 1, 2, 3, 10**7])
+        meta = write_meta(tmp_path / "meta.json", frames=0)
+        args = ["analyze", "--detections", str(dets), "--meta", str(meta), "--min-run", "3", "--jobs", "1"]
+        assert main([*args, "--out", str(tmp_path / "warm")]) == 0  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            assert main([*args, "--out", str(tmp_path / "o")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # a dense series of 10**7 frames would take 10 MB
+        assert "check for an outlier frame index" in capsys.readouterr().out
+
+    def _outlier_warnings(self, tmp_path, capsys, frames, confs) -> list[str]:
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text("".join(detection_line("v", f, 0, self.QUAD, c) + "\n" for f, c in zip(frames, confs)))
+        meta = write_meta(tmp_path / "meta.json", frames=0)
+        assert main(["analyze", "--detections", str(dets), "--meta", str(meta), "--out", str(tmp_path / "o")]) == 0
+        return [w for w in json.loads(capsys.readouterr().out)["warnings"] if "outlier" in w]
+
+    def test_low_confidence_frames_count_as_distinct_frames(self, tmp_path, capsys):
+        frames = [*range(0, 2000, 2), 1999]  # 1001 distinct frames, only the last record above the threshold
+        assert self._outlier_warnings(tmp_path, capsys, frames, [0.1] * 1000 + [0.9]) == []
+
+    def test_outlier_warns_when_every_record_is_below_the_threshold(self, tmp_path, capsys):
+        assert self._outlier_warnings(tmp_path, capsys, [0, 1, 10**7], [0.1] * 3) == [
+            f"inferred frame count {10**7 + 1} is over 1000x the 3 distinct frames with detections; "
+            "check for an outlier frame index"
+        ]
+
+
+class TestVideoIds:
+    QUAD = quad_from_rect(50, 50, 20, 10, 0)
+
+    def _stream(self, path: Path, ids) -> Path:
+        path.write_text("".join(detection_line(v, i % 4, 0, self.QUAD, 0.9) + "\n" for i, v in enumerate(ids)))
+        return path
+
+    def test_mixed_videos_warn_once_naming_the_first_five(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr("obbkit.pipeline.CHUNK_LINES", 2)  # ids spread over chunks
+        dets = self._stream(tmp_path / "dets.jsonl", ["a", "a", "b", "c", "a", "d", "e", "f", "g"])
+        meta = write_meta(tmp_path / "meta.json")
+        with caplog.at_level("WARNING", logger="obbkit"):
+            assert main(["analyze", "--detections", str(dets), "--meta", str(meta), "--out", str(tmp_path / "o")]) == 0
+        mixed = [r.getMessage() for r in caplog.records if "more than one video" in r.getMessage()]
+        assert mixed == [
+            "detections of more than one video are merged into one timeline: 'a', 'b', 'c', 'd', 'e'"
+        ]

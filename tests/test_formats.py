@@ -23,7 +23,7 @@ from obbkit.formats import (
     write_table_csv,
 )
 from conftest import detection_line
-from oracles import normalize_quad_reference, random_convex_quad
+from oracles import normalize_quad_reference, random_convex_quad, write_table_reference
 from obbkit.geometry import normalize_quad, polygon_area
 from obbkit.geometry import quad_from_rect
 
@@ -409,6 +409,27 @@ class TestReportTables:
         write_table(path, self.FIELDS, [{"brand_id": 1, "exposure_s": 2.0, "note": None}], "json")
         payload = json.loads(path.read_text())
         assert payload == [{"brand_id": 1, "exposure_s": 2.0, "note": None}]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_columns_write_the_bytes_of_rows(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr("obbkit.formats.TABLE_BLOCK_ROWS", 7)  # rows span several blocks
+        rng = np.random.default_rng(5)
+        notes = ['say "hi", ok', "", "caf\u00e9 \u2603", None, "line\nbreak", "50%", "plain"]
+        columns = {
+            "brand_id": rng.integers(0, 2**40, 40),
+            "exposure_s": rng.random(40) * 10.0 ** rng.integers(-20, 20, 40),
+            "note": [notes[i % len(notes)] for i in range(40)],
+        }
+        odd = {"brand_id": np.arange(3), "exposure_s": np.array([np.nan, np.inf, -0.0]), "note": [True, 1.5, 7]}
+        for i, cols in enumerate([columns, odd, {k: [] for k in self.FIELDS}]):
+            values = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols.values()]
+            as_rows = [dict(zip(cols, row)) for row in zip(*values)]
+            want, by_rows, by_cols = (tmp_path / f"{name}{i}.{fmt}" for name in ("want", "rows", "cols"))
+            write_table_reference(want, self.FIELDS, as_rows, fmt)
+            write_table(by_rows, self.FIELDS, as_rows, fmt)
+            write_table(by_cols, self.FIELDS, cols, fmt)
+            assert by_rows.read_bytes() == want.read_bytes()
+            assert by_cols.read_bytes() == want.read_bytes()
 
     def test_deterministic_bytes(self, tmp_path):
         rows = [{"brand_id": i, "exposure_s": i * 0.1, "note": "x"} for i in range(20)]

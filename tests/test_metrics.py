@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,13 @@ from obbkit.metrics import (
     FrameCoverage,
     aggregate_brand,
     build_timeline,
+    coverage_columns,
     frame_coverage,
     metrics_rows,
     temporal_filter,
 )
+from obbkit.pipeline import _reduce_coverage
+from oracles import reduce_coverage_reference
 
 META = FrameMeta(width=100.0, height=100.0, fps=2.0, frame_count=4)
 
@@ -201,3 +206,106 @@ class TestMetricsRows:
         )
         assert [r["brand_id"] for r in rows] == [1, 3, 2]
         assert rows[0]["brand_name"] == "acme"
+
+
+def _bits(values) -> list[str]:
+    """Floats as hex strings, so equality is bit equality (0.0 and -0.0 differ)."""
+    return [v.hex() if isinstance(v, float) else repr(v) for v in values]
+
+
+class TestColumnarReduction:
+    """pipeline._reduce_coverage against the object-per-entry reduction it replaced."""
+
+    META = FrameMeta(width=10.0, height=8.0, fps=3.0, frame_count=0)
+
+    def _check(self, frames, classes, areas, n_frames, top_k=3, min_run=1, max_gap=0):
+        frames, classes, areas = np.asarray(frames, np.int64), np.asarray(classes, np.int64), np.asarray(areas, float)
+        args = (frames, classes, areas, self.META, n_frames, top_k, min_run, max_gap)
+        want_metrics, want_timeline = reduce_coverage_reference(*args)
+        got_metrics, got_cov, got_ranking = _reduce_coverage(*args)
+        assert [_bits(astuple(m)) for m in got_metrics] == [_bits(astuple(m)) for m in want_metrics]
+        want_rows = [(b, f, c) for b in sorted(want_timeline.series) for f, c in want_timeline.series[b]]
+        got_rows = list(zip(got_cov.brands.tolist(), got_cov.frames.tolist(), got_cov.c.tolist()))
+        assert [_bits(r) for r in got_rows] == [_bits(r) for r in want_rows]
+        assert [_bits(r) for r in got_ranking] == [_bits(r) for r in want_timeline.ranking]
+        self._check_dense(frames, classes, areas, n_frames, min_run, max_gap, got_cov)
+        return got_cov
+
+    def _check_dense(self, frames, classes, areas, n_frames, min_run, max_gap, got):
+        """Every brand's z equals temporal_filter on its dense series; counts stay on their frames."""
+        raw = coverage_columns(frames, classes, areas, self.META.frame_area)
+        for brand in np.unique(raw.brands).tolist():
+            z = np.zeros(n_frames, np.int8)
+            counts = np.zeros(n_frames, np.int64)
+            mine = raw.brands == brand
+            z[raw.frames[mine]] = raw.z[mine]
+            counts[raw.frames[mine]] = raw.counts[mine]
+            want = temporal_filter(z, min_run=min_run, max_gap=max_gap)
+            got_z = np.zeros(n_frames, np.int8)
+            got_counts = np.zeros(n_frames, np.int64)
+            rows = got.brands == brand
+            got_z[got.frames[rows]] = got.z[rows]
+            got_counts[got.frames[rows]] = got.counts[rows]
+            assert got_z.tolist() == want.tolist()
+            assert got_counts.tolist() == counts.tolist()
+
+    def test_random_streams(self):
+        rng = np.random.default_rng(7)
+        for _ in range(240):
+            n_frames = int(rng.integers(1, 50))
+            n = int(rng.integers(0, 90))
+            frames = rng.integers(0, n_frames, n)
+            classes = rng.integers(0, 5, n)
+            areas = rng.random(n) * rng.choice([1.0, 30.0, 90.0], n)
+            areas[rng.random(n) < 0.2] = 0.0  # fully clipped boxes: z=0 entries
+            self._check(
+                frames, classes, areas, n_frames, int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(0, 4))
+            )
+
+    def test_areas_sum_in_record_order(self):
+        rng = np.random.default_rng(11)
+        areas = rng.random(600) * 10.0 ** rng.integers(-3, 1, 600)
+        frames = rng.integers(0, 3, 600)
+        self._check(frames, np.zeros(600, np.int64), areas, 3)
+        in_order = [sum(areas[frames == f].tolist()) for f in range(3)]
+        assert in_order != [float(np.sum(areas[frames == f])) for f in range(3)]  # the order shows in the bits
+
+    def test_zero_coverage_entries_in_gaps_and_at_run_edges(self):
+        # brand 0 visible on 2-4 and 7-9; z=0 entries at 1 (edge), 5 (gap), 10 (edge) and 13 (alone)
+        frames = [2, 3, 4, 7, 8, 9, 1, 5, 10, 13, 5]
+        areas = [1.0, 2.0, 3.0, 1.5, 2.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+        for min_run, max_gap in ((1, 2), (3, 0), (4, 2), (7, 2), (8, 2), (1, 3)):
+            cov = self._check(frames, [0] * len(frames), areas, 16, min_run=min_run, max_gap=max_gap)
+            assert 13 in cov.frames.tolist()  # entries keep their rows, filtered or not
+        cov = self._check(frames, [0] * len(frames), areas, 16, min_run=1, max_gap=2)
+        bridged = cov.frames.tolist().index(5)
+        assert (cov.z[bridged], cov.c[bridged], cov.counts[bridged]) == (True, 0.0, 2)
+
+    @pytest.mark.parametrize("max_gap", [1, 2, 3])
+    def test_gap_of_max_gap_is_bridged_and_one_more_is_not(self, max_gap):
+        frames = [0, 1 + max_gap, 20, 22 + max_gap]  # gaps of max_gap, then max_gap + 1
+        cov = self._check(frames, [2] * 4, [1.0] * 4, 30, max_gap=max_gap)
+        assert cov.z.sum() == 2 + max_gap + 2
+        assert cov.c[cov.counts == 0].tolist() == [0.0] * max_gap
+
+    @pytest.mark.parametrize("min_run", [2, 3, 4])
+    def test_run_of_min_run_is_kept_and_one_shorter_is_not(self, min_run):
+        frames = list(range(min_run - 1)) + list(range(10, 10 + min_run))
+        cov = self._check(frames, [1] * len(frames), [2.0] * len(frames), 20, min_run=min_run)
+        assert cov.frames[cov.z].tolist() == list(range(10, 10 + min_run))
+        assert cov.counts.sum() == len(frames)  # suppressed frames keep their counts
+
+    def test_identity_settings(self):
+        self._check([3, 1, 3, 0, 5], [1, 0, 1, 1, 0], [1.0, 0.0, 2.0, 4.0, 80.0], 6, min_run=1, max_gap=0)
+
+    def test_empty_stream(self):
+        assert self._check([], [], [], 0, min_run=3, max_gap=2).brands.size == 0
+
+    def test_frames_beyond_32_bits(self):
+        frames = np.array([0, 1, 2, 4])
+        small = self._check(frames, [0, 0, 0, 0], [1.0, 2.0, 3.0, 4.0], 5, min_run=2, max_gap=1)
+        big = _reduce_coverage(
+            frames + 2**40, np.zeros(4, np.int64), np.array([1.0, 2.0, 3.0, 4.0]), self.META, 2**40 + 5, 3, 2, 1
+        )[1]
+        assert (big.frames - 2**40).tolist() == small.frames.tolist()
+        assert _bits(big.c.tolist()) == _bits(small.c.tolist())
