@@ -15,10 +15,15 @@ or JSON with stable key order.
 from __future__ import annotations
 
 import csv
+import gc
+import io
 import json
 import math
+import re
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -371,74 +376,265 @@ class DetectionChunk:
             yield Detection(video_id=video_id, frame_index=frame, class_id=class_id, quad=quad, confidence=conf)
 
 
+BULK_LINES = 256  # record lines per bulk JSON decode: bounds the decoded objects alive at once
+SCAN_BYTES = 1 << 16  # bytes read at a time while finding chunk boundaries; forked workers inherit the buffer
+
+_FIELDS = ("video_id", "frame", "class", "poly", "conf")
+_PLACEHOLDER = {"video_id": "", "frame": 0, "class": 0, "poly": [[0.0, 0.0]] * 4, "conf": 0.0}
+_UNDECODED = object()
+_UNDECODABLE = re.compile("[\udc80-\udcff]")  # what the surrogateescape handler makes of a non-UTF-8 byte
+
+
+def _decode_one(text: str, k: int, faults: dict[int, str]):
+    """``json.loads`` of one line, or _UNDECODED with its fault recorded under ``k``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        faults[k] = f"invalid JSON: {exc.msg}"
+    except ValueError:  # an integer literal longer than the interpreter's digit limit
+        faults[k] = "invalid JSON: integer literal too long"
+    except RecursionError:
+        faults[k] = "invalid JSON: nesting too deep"
+    return _UNDECODED
+
+
+def _decode_block(texts: list[str], faults: dict[int, str], bulk: bool = True) -> list:
+    """The decoded value of each line; _UNDECODED where that fails, with ``faults[k]`` set.
+
+    With ``bulk``, lines whose last non-space character is ``}`` are
+    decoded in runs, one ``json.loads`` per run, kept if it gives one value
+    per line; a decode error splits a run at the line holding its position.
+    The caller must decode again without ``bulk`` if a value holds a nested
+    dict.  Without one, the newline after each line's final ``}``, which no
+    JSON string can hold, proves that it closes the line's own object.
+    """
+    values = [_UNDECODED] * len(texts)
+    runs = [[k for k, text in enumerate(texts) if text.rstrip().endswith("}")]] if bulk else []
+    pending = [*runs, *([k] for k in set(range(len(texts))).difference(*runs))]
+    while pending:
+        run = pending.pop()
+        part = [texts[k] for k in run]
+        try:
+            decoded = json.loads("[" + "\n,".join(part) + "\n]") if len(run) > 1 else []
+        except json.JSONDecodeError as exc:
+            starts = list(accumulate((len(line) + 2 for line in part), initial=1))
+            j = min(bisect_right(starts, exc.pos), len(run)) - 1
+            values[run[j]] = _decode_one(part[j], run[j], faults)
+            # when line j is valid alone, an earlier line broke the run
+            pending += [run[:j]] if values[run[j]] is _UNDECODED else [[k] for k in run[:j]]
+            pending.append(run[j + 1 :])
+            continue
+        except (ValueError, RecursionError):  # a too-long integer literal, or nesting too deep for one decode
+            decoded = []
+        if len(decoded) != len(run):
+            decoded = [_decode_one(texts[k], k, faults) for k in run]
+        for k, value in zip(run, decoded):
+            values[k] = value
+    return values
+
+
+def _holds_dict(value) -> bool:
+    """Whether a decoded JSON value holds a dict below its top level."""
+    stack = list(value.values()) if type(value) is dict else [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is dict:
+            return True
+        if type(item) is list:
+            stack.extend(item)
+    return False
+
+
+def _all_len(items: list, n: int) -> bool:
+    """Whether every item has length ``n``; False if one has no length."""
+    try:
+        return set(map(len, items)) <= {n}
+    except TypeError:
+        return False
+
+
+def _int_cells(col: list) -> np.ndarray:
+    """An int column as int64; cells of another type or beyond int64 read -1."""
+    if set(map(type, col)) != {int}:
+        col = [v if type(v) is int else -1 for v in col]
+    try:
+        return np.array(col, np.int64)
+    except OverflowError:
+        return np.array([v if -INT64_MAX <= v <= INT64_MAX else -1 for v in col], np.int64)
+
+
+def _coordinates(polys: list, flag: np.ndarray) -> np.ndarray:
+    """The (n, 8) coordinates of a poly column; flags each poly that is not four [x, y] number pairs."""
+    if not _all_len(polys, 4):
+        ok = [type(p) is list and len(p) == 4 for p in polys]
+        flag |= np.logical_not(ok)
+        polys = [p if good else _PLACEHOLDER["poly"] for p, good in zip(polys, ok)]
+    points = list(chain.from_iterable(polys))
+    if not _all_len(points, 2):
+        ok = np.array([type(q) is list and len(q) == 2 for q in points])
+        flag |= ~ok.reshape(-1, 4).all(axis=1)
+        points = [q if good else [0.0, 0.0] for q, good in zip(points, ok.tolist())]
+    flat = list(chain.from_iterable(points))
+    if not set(map(type, flat)) <= {float, int}:
+        flat = [v if type(v) is float or type(v) is int else math.nan for v in flat]
+    try:
+        return np.frombuffer(array("d", flat), np.float64).reshape(-1, 8)
+    except OverflowError:  # an int beyond the float range: ints read NaN, so their records are validated alone
+        return np.array([v if type(v) is float else math.nan for v in flat]).reshape(-1, 8)
+
+
+def _check_columns(values: list, class_map: ClassMap | None, meta: FrameMeta | None) -> tuple:
+    """Checks of decoded records by column: ``video_ids, frames, classes, confs`` lists, (n, 8) coordinates, flags.
+
+    A record is flagged if it fails a check or has other fields than the
+    five; unflagged cells are what validate_detection_obj would return.
+    """
+    flag = np.zeros(len(values), bool)
+    try:
+        if set(map(type, values)) != {dict} or set(map(len, values)) != {5}:
+            raise KeyError
+        video_ids, frames, classes, polys, confs = ([v[name] for v in values] for name in _FIELDS)
+    except KeyError:  # a value that is no dict, or a dict of other fields than the five
+        ok = [type(v) is dict and v.keys() == _PLACEHOLDER.keys() for v in values]
+        flag |= np.logical_not(ok)
+        values = [v if good else _PLACEHOLDER for v, good in zip(values, ok)]
+        video_ids, frames, classes, polys, confs = ([v[name] for v in values] for name in _FIELDS)
+    if set(map(type, video_ids)) != {str}:
+        flag |= [type(v) is not str for v in video_ids]
+    if set(map(type, classes)) != {int}:  # names resolve through the class map, other types read -1
+        index = class_map._index if class_map is not None else {}
+        classes = [c if type(c) is int else index.get(c, -1) if type(c) is str else -1 for c in classes]
+    if set(map(type, confs)) != {float}:
+        confs = [c if type(c) is float else math.nan for c in confs]
+    coords = _coordinates(polys, flag)
+    frame_arr, class_arr, conf_arr = _int_cells(frames), _int_cells(classes), np.array(confs)
+    flag |= (frame_arr < 0) | (class_arr < 0) | ~((conf_arr >= 0.0) & (conf_arr <= 1.0))
+    flag |= ~np.isfinite(coords).all(axis=1)
+    if meta is not None and meta.frame_count > 0:
+        flag |= frame_arr >= meta.frame_count
+    if class_map is not None:
+        flag |= class_arr >= len(class_map)
+    return video_ids, frames, classes, confs, coords, flag
+
+
 def parse_detection_chunk(
     lines: list[str],
     first_line_no: int,
     class_map: ClassMap | None = None,
     meta: FrameMeta | None = None,
     strict: bool = False,
+    invalid_utf8: Iterable[int] = (),
 ) -> DetectionChunk:
     """Decode and validate detection lines; degenerate quads count as invalid.
 
     ``lines[i]`` is line ``first_line_no + i`` of its stream, and blank
-    lines are not records.  In lax mode each invalid record is skipped
-    with a ``line N: skipped: <reason>`` warning, in line order; in
-    strict mode the first invalid record in line order raises ParseError.
+    lines are not records; lines at the indices in ``invalid_utf8`` held
+    bytes that are not UTF-8.  In lax mode each invalid record is skipped
+    with a ``line N: skipped: <reason>`` warning, in line order; in strict
+    mode the first one raises ParseError.  Blocks of BULK_LINES lines are
+    decoded at once and checked by column; only flagged records go through
+    validate_detection_obj, so results equal a per-line decode and check.
     """
-    loads, validate = json.loads, validate_detection_obj
-    video_ids: list[str] = []
-    frames: list[int] = []
-    classes: list[int] = []
-    confs: list[float] = []
-    coords = array("d")  # flat x, y pairs; holds no float objects between lines
-    line_nos: list[int] = []
-    faults: list[tuple[int, str]] = []
-    n_records = 0
-    for offset, line in enumerate(lines):
-        if not line.strip():
-            continue
-        n_records += 1
-        try:
-            video_id, frame, class_id, poly, conf = validate(loads(line), class_map, meta)
-        except json.JSONDecodeError as exc:
-            fault = f"invalid JSON: {exc.msg}"
-        except DataError as exc:
-            fault = str(exc)
-        else:
-            video_ids.append(video_id)
-            frames.append(frame)
-            classes.append(class_id)
-            confs.append(conf)
-            for pt in poly:
-                coords.extend(pt)
-            line_nos.append(first_line_no + offset)
-            continue
-        faults.append((first_line_no + offset, fault))
-        if strict:
-            break  # records before this line may still hold an earlier degenerate quad
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # the cyclic GC would scan a block's decoded objects many times over
+    try:
+        faults = dict.fromkeys(invalid_utf8, "invalid UTF-8")  # line index -> reason
+        records = [i for i, line in enumerate(lines) if line and not line.isspace()]
+        rows = [i for i in records if i not in faults]
+        columns: tuple[list, ...] = ([], [], [], [])  # video ids, frames, classes, confs
+        coord_cells, kept_rows = array("d"), []  # flat x, y pairs, grown without a second copy
+        for lo in range(0, len(rows), BULK_LINES):
+            block = rows[lo : lo + BULK_LINES]
+            texts = [lines[i] for i in block]
+            bad: dict[int, str] = {}
+            values = _decode_block(texts, bad)
+            *cells, coords, flag = _check_columns(values, class_map, meta)
+            # records that pass every check hold no dict; a flagged one that does may span lines
+            if any(_holds_dict(values[k]) for k in np.flatnonzero(flag).tolist()):
+                bad.clear()
+                values = _decode_block(texts, bad, bulk=False)
+                *cells, coords, flag = _check_columns(values, class_map, meta)
+            keep = ~flag
+            for k in np.flatnonzero(flag).tolist():
+                if values[k] is _UNDECODED:
+                    continue
+                try:
+                    *record, poly, conf = validate_detection_obj(values[k], class_map, meta)
+                except DataError as exc:
+                    bad[k] = str(exc)
+                    continue
+                for col, cell in zip(cells, (*record, conf)):
+                    col[k] = cell
+                coords[k] = array("d", chain.from_iterable(poly))
+                keep[k] = True
+            faults.update((block[k], msg) for k, msg in bad.items())
+            if bad:
+                kept = keep.tolist()
+                cells, block, coords = [list(compress(c, kept)) for c in cells], compress(block, kept), coords[keep]
+            for col, block_cells in zip(columns, cells):
+                col += block_cells
+            coord_cells.frombytes(coords.tobytes())
+            kept_rows += block
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    video_ids, frames, classes, confs = columns
     max_frame = max(frames, default=-1)
-    quads = np.frombuffer(coords, dtype=np.float64).reshape(-1, 4, 2)
+    quads = np.frombuffer(coord_cells, np.float64).reshape(-1, 4, 2)
     degenerate = degenerate_mask(quads)
     if degenerate.any():
-        faults = sorted(faults + [(line_nos[i], "degenerate quad") for i in np.flatnonzero(degenerate).tolist()])
+        faults.update((kept_rows[i], "degenerate quad") for i in np.flatnonzero(degenerate).tolist())
         keep = (~degenerate).tolist()
-        video_ids, frames, classes, confs = (
-            [v for v, k in zip(col, keep) if k] for col in (video_ids, frames, classes, confs)
-        )
+        video_ids, frames, classes, confs = (list(compress(col, keep)) for col in columns)
         quads = quads[~degenerate]
-    if strict and faults:
-        raise ParseError(faults[0][1], faults[0][0])
-    return DetectionChunk(
-        n_records=n_records,
-        n_skipped=len(faults),
-        warnings=[f"line {line_no}: skipped: {msg}" for line_no, msg in faults],
-        max_frame=max_frame,
-        video_ids=video_ids,
-        frames=frames,
-        classes=classes,
-        confs=confs,
-        quads=quads,
-    )
+    ordered = sorted(faults.items())
+    if strict and ordered:
+        raise ParseError(ordered[0][1], first_line_no + ordered[0][0])
+    warnings = [f"line {first_line_no + i}: skipped: {msg}" for i, msg in ordered]
+    return DetectionChunk(len(records), len(ordered), warnings, max_frame, video_ids, frames, classes, confs, quads)
+
+
+def line_ranges(path: str | Path, n_lines: int) -> Iterator[tuple[int, int, int]]:
+    r"""``(byte offset, line count, first line number)`` of consecutive ``n_lines``-line runs of a file.
+
+    Lines end as in text mode, at ``\n``, ``\r\n`` or a lone ``\r``; the
+    last run holds the lines left, a final line without an end included.
+    """
+    start = pos = seen = 0  # seen: line ends since start
+    first_line_no, last = 1, b"\n"
+    with open(path, "rb") as fh:
+        while data := fh.read(SCAN_BYTES):
+            while data.endswith(b"\r") and (more := fh.read(1)):  # so a \r\n line end is seen whole
+                data += more
+            if b"\r" in data:  # same length, with a \n at each line end and nowhere else
+                data = data.replace(b"\r\n", b" \n").replace(b"\r", b"\n")
+            ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+            for cut in (ends[n_lines - seen - 1 :: n_lines] + pos + 1).tolist():
+                yield start, n_lines, first_line_no
+                start, first_line_no = cut, first_line_no + n_lines
+            seen, pos, last = (seen + ends.size) % n_lines, pos + len(data), data[-1:]
+    if pos > start:
+        yield start, seen + (last != b"\n"), first_line_no
+
+
+def _text_lines(path: str | Path, offset: int, n_lines: int, errors: str) -> list[str]:
+    with open(path, "rb") as raw:
+        raw.seek(offset)
+        return list(islice(io.TextIOWrapper(raw, encoding="utf-8", errors=errors), n_lines))
+
+
+def read_detection_range(path: str | Path, offset: int, n_lines: int, first_line_no: int, *args) -> DetectionChunk:
+    """parse_detection_chunk(lines, first_line_no, *args) of ``n_lines`` lines from a byte offset (see line_ranges).
+
+    The lines are read in text mode.  A line holding bytes that are not
+    UTF-8 is an invalid record (``invalid UTF-8``).
+    """
+    try:
+        lines, invalid = _text_lines(path, offset, n_lines, "strict"), []
+    except UnicodeDecodeError:
+        lines = _text_lines(path, offset, n_lines, "surrogateescape")
+        invalid = [i for i, line in enumerate(lines) if _UNDECODABLE.search(line)]
+    return parse_detection_chunk(lines, first_line_no, *args, invalid_utf8=invalid)
 
 
 def parse_detection_line(

@@ -1,10 +1,11 @@
 """Command orchestration: ingestion through metrics to report files.
 
-The analyze path is chunked: the detection stream is split into
-fixed-size line chunks, each chunk is parsed and clipped into flat
-arrays (optionally in worker processes), and the per-(brand, frame)
-reduction happens in the parent in chunk order.  Chunk size is
-independent of the worker count, and every reduction is either
+The analyze path is chunked: the parent finds the byte ranges of
+consecutive CHUNK_LINES-line runs of the detection stream, each chunk
+is read, parsed and clipped into flat arrays by whoever handles it
+(optionally a worker process), and the per-(brand, frame) reduction
+happens in the parent in chunk order.  Chunk size is independent of
+the worker count, and every reduction is either
 exactly rounded (math.fsum) or performed in canonical order, so the
 same input produces byte-identical reports at any ``--jobs`` level.
 """
@@ -29,8 +30,9 @@ from .formats import (
     Detection,
     FrameMeta,
     GroundTruth,
+    line_ranges,
     load_split,
-    parse_detection_chunk,
+    read_detection_range,
     read_label_file,
     write_json_report,
     write_table,
@@ -137,8 +139,8 @@ class _ChunkResult:
 
 
 def _analyze_chunk(task) -> _ChunkResult:
-    lines, first_line_no, meta, class_map, conf_threshold, strict = task
-    chunk = parse_detection_chunk(lines, first_line_no, class_map, meta, strict)
+    path, offset, n_lines, first_line_no, meta, class_map, conf_threshold, strict = task
+    chunk = read_detection_range(path, offset, n_lines, first_line_no, class_map, meta, strict)
     frames = np.array(chunk.frames, np.int64)
     confs = np.array(chunk.confs)
     above = confs >= conf_threshold
@@ -157,22 +159,6 @@ def _analyze_chunk(task) -> _ChunkResult:
     )
 
 
-def _line_chunks(path: Path):
-    """(lines, first line number) of consecutive CHUNK_LINES-line runs of a text file."""
-    with open(path, encoding="utf-8") as fh:
-        first_line_no = 1
-        while True:
-            lines = []
-            for line in fh:
-                lines.append(line)
-                if len(lines) >= CHUNK_LINES:
-                    break
-            if not lines:
-                return
-            yield lines, first_line_no
-            first_line_no += len(lines)
-
-
 def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunReport:
     """Detections stream -> brand metrics, timeline and ranking reports."""
     t0 = time.perf_counter()
@@ -182,8 +168,8 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     tasks = (
-        (lines, first_line_no, cfg.meta, cfg.class_map, cfg.conf_threshold, cfg.strict)
-        for lines, first_line_no in _line_chunks(cfg.detections)
+        (cfg.detections, *span, cfg.meta, cfg.class_map, cfg.conf_threshold, cfg.strict)
+        for span in line_ranges(cfg.detections, CHUNK_LINES)
     )
     chunks = list(_map_ordered(_analyze_chunk, tasks, cfg.jobs))
 
@@ -340,8 +326,8 @@ def load_predictions(
     """Read a detections file; returns (records, skipped count)."""
     dets: list[Detection] = []
     n_skipped = 0
-    for lines, first_line_no in _line_chunks(path):
-        chunk = parse_detection_chunk(lines, first_line_no, class_map, meta, strict)
+    for span in line_ranges(path, CHUNK_LINES):
+        chunk = read_detection_range(path, *span, class_map, meta, strict)
         warnings.extend(chunk.warnings)
         n_skipped += chunk.n_skipped
         dets.extend(chunk.detections())

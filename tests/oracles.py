@@ -429,3 +429,74 @@ def write_table_reference(path, fieldnames, rows, fmt) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump([{k: row.get(k) for k in fieldnames} for row in rows], fh, indent=2)
             fh.write("\n")
+
+
+def parse_detection_chunk_reference(
+    lines: list[str],
+    first_line_no: int,
+    class_map=None,
+    meta=None,
+    strict: bool = False,
+):
+    """The line-at-a-time detection parser: one json.loads and one validate_detection_obj per line."""
+    import json
+    from array import array
+
+    from obbkit.errors import DataError, ParseError
+    from obbkit.formats import DetectionChunk, validate_detection_obj
+    from obbkit.geometry import degenerate_mask
+
+    loads, validate = json.loads, validate_detection_obj
+    video_ids: list[str] = []
+    frames: list[int] = []
+    classes: list[int] = []
+    confs: list[float] = []
+    coords = array("d")  # flat x, y pairs; holds no float objects between lines
+    line_nos: list[int] = []
+    faults: list[tuple[int, str]] = []
+    n_records = 0
+    for offset, line in enumerate(lines):
+        if not line.strip():
+            continue
+        n_records += 1
+        try:
+            video_id, frame, class_id, poly, conf = validate(loads(line), class_map, meta)
+        except json.JSONDecodeError as exc:
+            fault = f"invalid JSON: {exc.msg}"
+        except DataError as exc:
+            fault = str(exc)
+        else:
+            video_ids.append(video_id)
+            frames.append(frame)
+            classes.append(class_id)
+            confs.append(conf)
+            for pt in poly:
+                coords.extend(pt)
+            line_nos.append(first_line_no + offset)
+            continue
+        faults.append((first_line_no + offset, fault))
+        if strict:
+            break  # records before this line may still hold an earlier degenerate quad
+    max_frame = max(frames, default=-1)
+    quads = np.frombuffer(coords, dtype=np.float64).reshape(-1, 4, 2)
+    degenerate = degenerate_mask(quads)
+    if degenerate.any():
+        faults = sorted(faults + [(line_nos[i], "degenerate quad") for i in np.flatnonzero(degenerate).tolist()])
+        keep = (~degenerate).tolist()
+        video_ids, frames, classes, confs = (
+            [v for v, k in zip(col, keep) if k] for col in (video_ids, frames, classes, confs)
+        )
+        quads = quads[~degenerate]
+    if strict and faults:
+        raise ParseError(faults[0][1], faults[0][0])
+    return DetectionChunk(
+        n_records=n_records,
+        n_skipped=len(faults),
+        warnings=[f"line {line_no}: skipped: {msg}" for line_no, msg in faults],
+        max_frame=max_frame,
+        video_ids=video_ids,
+        frames=frames,
+        classes=classes,
+        confs=confs,
+        quads=quads,
+    )

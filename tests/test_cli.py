@@ -766,3 +766,100 @@ class TestVideoIds:
         assert mixed == [
             "detections of more than one video are merged into one timeline: 'a', 'b', 'c', 'd', 'e'"
         ]
+
+
+class TestUnreadableLines:
+    """Bytes that are not UTF-8 and over-long integer literals are skipped lines, not internal errors."""
+
+    QUAD = quad_from_rect(20, 20, 10, 6, 0)
+
+    def _write(self, path: Path, middle: bytes) -> Path:
+        good = detection_line("f0", 0, 0, self.QUAD, 0.9).encode()
+        path.write_bytes(good + b"\n" + middle + b"\n" + detection_line("f1", 1, 0, self.QUAD, 0.8).encode() + b"\n")
+        return path
+
+    def _check(self, tmp_path, capsys, command: list[str], dets: Path, warning: str, skipped_key: str):
+        assert main([*command, "--detections", str(dets), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [w for w in report["warnings"] if w.startswith("line ")] == [warning]
+        assert report["counts"][skipped_key] == 1
+        assert main([*command, "--detections", str(dets), "--out", str(tmp_path / "strict"), "--strict"]) == 2
+        assert f"error: {warning.replace('skipped: ', '')}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_analyze_skips_invalid_utf8(self, tmp_path, capsys, jobs):
+        middle = detection_line("fé", 0, 0, self.QUAD, 0.9).encode().replace(b"f\\u00e9", b"f\xff")
+        dets = self._write(tmp_path / "dets.jsonl", middle)
+        command = ["analyze", "--meta", str(write_meta(tmp_path / "meta.json")), "--jobs", jobs]
+        self._check(tmp_path, capsys, command, dets, "line 2: skipped: invalid UTF-8", "records_skipped")
+
+    def test_evaluate_skips_invalid_utf8(self, tmp_path, capsys):
+        split, _ = make_eval_tree(tmp_path)
+        dets = self._write(tmp_path / "dets.jsonl", b'{"video_id": "f0\xc3"}')
+        command = ["evaluate", "--labels", str(split), "--width", "100", "--height", "100"]
+        self._check(tmp_path, capsys, command, dets, "line 2: skipped: invalid UTF-8", "predictions_skipped")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_analyze_skips_overlong_integer_literals(self, tmp_path, capsys, jobs):
+        dets = self._write(tmp_path / "dets.jsonl", b'{"video_id": "f0", "frame": 1' + b"0" * 5000 + b"}")
+        command = ["analyze", "--meta", str(write_meta(tmp_path / "meta.json")), "--jobs", jobs]
+        warning = "line 2: skipped: invalid JSON: integer literal too long"
+        self._check(tmp_path, capsys, command, dets, warning, "records_skipped")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_analyze_skips_lines_nested_too_deep(self, tmp_path, capsys, jobs):
+        dets = self._write(tmp_path / "dets.jsonl", b'{"broken\n' + b"[" * 100_000)
+        command = ["analyze", "--meta", str(write_meta(tmp_path / "meta.json")), "--jobs", jobs]
+        assert main([*command, "--detections", str(dets), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        warnings = [w for w in report["warnings"] if w.startswith("line ")]
+        assert warnings[0].startswith("line 2: skipped: invalid JSON: Invalid control character")
+        assert warnings[1:] == ["line 3: skipped: invalid JSON: nesting too deep"]
+        assert report["counts"]["records_skipped"] == 2
+        assert main([*command, "--detections", str(dets), "--out", str(tmp_path / "strict"), "--strict"]) == 2
+        assert "error: line 2: invalid JSON: Invalid control character" in capsys.readouterr().err
+
+
+class TestChunkBoundaries:
+    """Line numbers and counts across chunks, for every text-mode line end, at any chunk size and job count."""
+
+    QUAD = quad_from_rect(50, 50, 20, 10, 0)
+
+    def _lines(self) -> list[str]:
+        lines = [detection_line("v", i % 4, 0, self.QUAD, 0.9) for i in range(7)]
+        lines[1] = json.dumps({"frame": 1, "class": 0, "poly": self.QUAD.tolist(), "conf": 0.9})
+        lines[3] = json.dumps({**json.loads(lines[3]), "video_id": "a\u2028b\x85c"}, ensure_ascii=False)
+        lines[4] = '{"broken'
+        lines[5] = "   "
+        return lines
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("chunk_lines", [2, 3])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_same_warnings_and_counts_as_the_reference(self, tmp_path, capsys, monkeypatch, end, chunk_lines, jobs):
+        from oracles import parse_detection_chunk_reference
+
+        monkeypatch.setattr("obbkit.pipeline.CHUNK_LINES", chunk_lines)
+        dets = tmp_path / "dets.jsonl"
+        dets.write_bytes(end.join(self._lines()).encode("utf-8"))
+        with open(dets, encoding="utf-8") as fh:
+            want = parse_detection_chunk_reference(list(fh), 1, meta=FrameMeta(100.0, 100.0, frame_count=4))
+        meta = write_meta(tmp_path / "meta.json")
+        assert main(["analyze", "--detections", str(dets), "--meta", str(meta), "--jobs", jobs, "--out", str(tmp_path / "o")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["warnings"] == want.warnings
+        assert (report["counts"]["records_total"], report["counts"]["records_skipped"]) == (want.n_records, want.n_skipped)
+        assert want.warnings[0] == "line 2: skipped: missing field 'video_id'"  # as with every line end before
+        assert want.warnings[1].startswith("line 5: skipped: invalid JSON: ") and want.n_records == 6
+
+
+def test_module_entry_point_prints_usage():
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "obbkit.cli", "--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage:") and "analyze" in proc.stdout
