@@ -157,8 +157,9 @@ def match_frame(
     # ascending, so the first ground truth with the best IoU still wins a tie
     candidates: list[list[int]] = [[] for _ in order]
     if order and live_gts:
-        pb = enclosing_bounds(np.stack([preds[i].quad for i in order]))
-        gb = enclosing_bounds(np.stack([gt.quad for _, gt in live_gts]))
+        pq = np.stack([preds[i].quad for i in order])
+        gq = np.stack([gt.quad for _, gt in live_gts])
+        pb, gb = enclosing_bounds(pq), enclosing_bounds(gq)
         pred_classes = np.array([preds[i].class_id for i in order])
         same_class = pred_classes[:, None] == np.array([gt.class_id for _, gt in live_gts])
         overlap = (
@@ -172,6 +173,8 @@ def match_frame(
             candidates[row].append(k)
         if box_mode == "hbb":
             hbb_ious = rect_ious(pb, gb).tolist()
+        else:
+            pred_quads, gt_quads = pq.tolist(), gq.tolist()
 
     taken: set[int] = set()
     records: list[MatchRecord] = []
@@ -180,10 +183,10 @@ def match_frame(
         best_iou = 0.0
         best_gt: int | None = None
         for k in candidates[row]:
-            gt_idx, gt = live_gts[k]
+            gt_idx = live_gts[k][0]
             if gt_idx in taken:
                 continue
-            iou = hbb_ious[row][k] if box_mode == "hbb" else iou_obb(pred.quad, gt.quad)
+            iou = hbb_ious[row][k] if box_mode == "hbb" else iou_obb(pred_quads[row], gt_quads[k])
             if iou > best_iou:
                 best_iou = iou
                 best_gt = gt_idx
@@ -345,12 +348,3 @@ def evaluate(
         box_mode=box_mode,
     )
 
-
-def map_sweep(
-    preds: list[Detection],
-    gts: list[GroundTruth],
-    thresholds: tuple[float, ...] = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95),
-    box_mode: str = "obb",
-) -> dict[float, float]:
-    """mAP at a sweep of IoU thresholds (mAP@50-95 style utility)."""
-    return {t: evaluate(preds, gts, iou_threshold=t, box_mode=box_mode).map50 for t in thresholds}

@@ -657,16 +657,22 @@ def iter_detections(
     strict: bool = False,
     warnings: list[str] | None = None,
 ) -> Iterator[Detection]:
-    """Stream Detections from JSON lines, parsing one line at a time.
+    """Stream Detections from JSON lines, parsed in blocks of up to BULK_LINES lines.
 
     Degenerate quads count as invalid records: reported and skipped in
-    lax mode, fatal in strict mode.
+    lax mode, fatal in strict mode once the records before them are out.
     """
-    for line_no, line in enumerate(lines, start=1):
-        chunk = parse_detection_chunk([line], line_no, class_map, meta, strict)
+    lines, line_no = iter(lines), 1
+    while block := list(islice(lines, BULK_LINES)):
+        try:
+            chunk = parse_detection_chunk(block, line_no, class_map, meta, strict)
+        except ParseError as exc:
+            yield from parse_detection_chunk(block[: exc.line_no - line_no], line_no, class_map, meta).detections()
+            raise
         if warnings is not None:
             warnings.extend(chunk.warnings)
         yield from chunk.detections()
+        line_no += len(block)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ scalar operations are pure functions; the clippers and the polygon area
 run on Python float lists, which is cheaper than numpy on a handful of
 vertices.  The batch kernels (canonical order, degeneracy, areas,
 enclosing bounds, orientation, frame clipping) take (n, 4, 2) quad
-batches, and the one-quad functions wrap them.
+batches, and the one-quad functions wrap them.  Pixel coordinates only:
+EDGE_TOL is absolute, so a 1e-5 x 1e-5 (normalized) box reads degenerate.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .errors import GeometryError
 
-# On-edge classification tolerance, in pixel units.  Coordinates are
-# O(10^3) pixels, so double precision leaves ~6 orders of headroom.
+# On-edge and zero-area tolerance, in pixel units (px, px^2).  Coordinates
+# are O(10^3) pixels, so double precision leaves ~6 orders of headroom.
 EDGE_TOL = 1e-9
 
 _EMPTY = np.zeros((0, 2))
@@ -110,6 +111,8 @@ def normalize_quad(points) -> tuple[np.ndarray, bool]:
 
 def _clip_halfplane(poly: list, dist: list) -> list:
     """Sutherland-Hodgman step on [x, y] vertex lists: keep the region where dist >= 0."""
+    if all(d >= -EDGE_TOL for d in dist):
+        return poly  # what the loop below emits when no vertex is outside
     k = len(poly)
     out: list = []
     for i in range(k):
@@ -159,15 +162,30 @@ def _intersect(va: list, vb: list) -> list:
     return v
 
 
-def _canonical_pair(a, b) -> list:
-    """Both quads in canonical order, as [x, y] vertex lists, from one batch call."""
-    return canonical_order(np.stack([as_quad(a), as_quad(b)])).tolist()
+def _canonical_quad(points) -> list:
+    """canonical_order of one quad on Python floats, as four [x, y] lists; as_quad's checks and errors."""
+    try:
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points.tolist() if isinstance(points, np.ndarray) else points
+        c = [float(v) for v in (x0, y0, x1, y1, x2, y2, x3, y3)]
+    except (TypeError, ValueError, OverflowError):
+        c = []
+    if len(c) != 8 or not all(map(math.isfinite, c)):
+        c = as_quad(points).reshape(-1).tolist()  # raises unless an odd input holds a valid quad
+    x0, y0, x1, y1, x2, y2, x3, y3 = c
+    ax, ay, bx, by, cx, cy, dx, dy = x0 - x0, y0 - y0, x1 - x0, y1 - y0, x2 - x0, y2 - y0, x3 - x0, y3 - y0
+    # _signed_areas2's vertex-0-anchored shoelace terms, in its order
+    s = (ax * by - bx * ay) + (bx * cy - cx * by) + (cx * dy - dx * cy) + (dx * ay - ax * dy)
+    q = [[x0, y0], [x1, y1], [x2, y2], [x3, y3]]
+    if s < 0:
+        q.reverse()
+    keys = [(y, x) for x, y in q]
+    start = keys.index(min(keys))  # the first smallest (y, x)
+    return q[start:] + q[:start]
 
 
 def convex_intersection(a, b) -> np.ndarray:
     """Intersection polygon of two convex quads via half-plane clipping."""
-    va, vb = _canonical_pair(a, b)
-    return _as_poly_array(_intersect(va, vb))
+    return _as_poly_array(_intersect(_canonical_quad(a), _canonical_quad(b)))
 
 
 def iou_obb(a, b) -> float:
@@ -176,7 +194,7 @@ def iou_obb(a, b) -> float:
     All three areas come from the same function on canonically ordered
     vertices, so identical regions give exactly 1.0.
     """
-    va, vb = _canonical_pair(a, b)
+    va, vb = _canonical_quad(a), _canonical_quad(b)
     area_a = _area(va)
     area_b = _area(vb)
     if area_a <= 0.0 and area_b <= 0.0:

@@ -254,6 +254,62 @@ def normalize_quad_reference(points) -> tuple[np.ndarray, bool]:
     return v, degenerate
 
 
+def _clip_halfplane_reference(poly: list, dist: list) -> list:
+    """geometry._clip_halfplane without its all-inside shortcut: every vertex goes through the loop."""
+    k = len(poly)
+    out: list = []
+    for i in range(k):
+        j = i + 1 if i + 1 < k else 0
+        dc, dn = dist[i], dist[j]
+        if dc >= -EDGE_TOL:
+            out.append(poly[i])
+        if (dc > EDGE_TOL and dn < -EDGE_TOL) or (dc < -EDGE_TOL and dn > EDGE_TOL):
+            t = dc / (dc - dn)
+            (xc, yc), (xn, yn) = poly[i], poly[j]
+            out.append((xc + t * (xn - xc), yc + t * (yn - yc)))
+    return out if len(out) >= 3 else []
+
+
+def _canonical_pair_reference(a, b) -> list:
+    """Both quads in canonical order from one canonical_order batch, as [x, y] lists."""
+    from obbkit.geometry import as_quad, canonical_order
+
+    return canonical_order(np.stack([as_quad(a), as_quad(b)])).tolist()
+
+
+def _intersect_reference(va: list, vb: list) -> list:
+    v = va
+    for i in range(4):
+        if not v:
+            break
+        (px, py), (qx, qy) = vb[i], vb[i + 1 if i < 3 else 0]
+        ex, ey = qx - px, qy - py
+        v = _clip_halfplane_reference(v, [ex * (y - py) - ey * (x - px) for x, y in v])
+    return v
+
+
+def convex_intersection_reference(a, b) -> np.ndarray:
+    """convex_intersection by its former pair route: one batch canonicalization, then full clipping loops."""
+    pts = _intersect_reference(*_canonical_pair_reference(a, b))
+    return np.array(pts, dtype=np.float64) if pts else np.zeros((0, 2))
+
+
+def iou_obb_reference(a, b) -> float:
+    """iou_obb by its former pair route, as convex_intersection_reference."""
+    from obbkit.errors import GeometryError
+    from obbkit.geometry import _area
+
+    va, vb = _canonical_pair_reference(a, b)
+    area_a, area_b = _area(va), _area(vb)
+    if area_a <= 0.0 and area_b <= 0.0:
+        raise GeometryError("IoU undefined: both quads have zero area")
+    inter = _area(_intersect_reference(va, vb))
+    union = area_a + area_b - inter
+    if union <= 0.0:
+        return 0.0
+    return min(1.0, inter / union)
+
+
 def match_frame_reference(preds, gts, iou_threshold=0.5, box_mode="obb", audit=None, frame_id=""):
     """The greedy matcher before the enclosing-box prefilter: every same-class pair, one IoU call each."""
     from obbkit.errors import ConfigError

@@ -8,6 +8,7 @@ import pytest
 
 from obbkit.errors import ConfigError, DataError, ParseError
 from obbkit.formats import (
+    BULK_LINES,
     ClassMap,
     FrameMeta,
     iter_detections,
@@ -182,6 +183,74 @@ class TestDetectionStream:
         assert count == 20_000
         # ~3 MB of text flows through; a streaming parser holds only one record
         assert peak < 2_000_000
+
+
+def _iter_detections_per_line(lines, meta=None, strict=False, warnings=None):
+    """iter_detections as one parse_detection_chunk call per line."""
+    for line_no, line in enumerate(lines, start=1):
+        chunk = parse_detection_chunk([line], line_no, None, meta, strict)
+        if warnings is not None:
+            warnings.extend(chunk.warnings)
+        yield from chunk.detections()
+
+
+def _detection_tuples(dets):
+    return [(d.video_id, d.frame_index, d.class_id, d.quad.tobytes(), d.confidence) for d in dets]
+
+
+class TestBlockedDetectionStream:
+    """iter_detections, parsed in blocks, against a per-line parse of the same stream."""
+
+    @staticmethod
+    def _stream(bad_at=()):
+        lines = [
+            detection_line("v", i % 90, i % 3, quad_from_rect(10 + i % 40, 20, 6, 4, i % 180), 0.5) + "\n"
+            for i in range(2 * BULK_LINES + 40)
+        ]
+        faults = [
+            '{"oops\n',
+            "\n",
+            detection_line("v", 1, 0, [[0, 0], [1, 1], [1, 0], [0, 1]], 0.9) + "\n",  # degenerate
+            detection_line("v", 500, 0, quad_from_rect(5, 5, 2, 2, 0), 0.9) + "\n",  # past frame_count
+        ]
+        for k, i in enumerate(bad_at):
+            lines[i] = faults[k % len(faults)]
+        return lines
+
+    def test_lax_records_and_warnings(self):
+        lines = self._stream(bad_at=(0, 7, BULK_LINES - 1, BULK_LINES, BULK_LINES + 3, 2 * BULK_LINES + 39))
+        got_w, want_w = [], []
+        got = _detection_tuples(iter_detections(lines, meta=META_1000, warnings=got_w))
+        want = _detection_tuples(_iter_detections_per_line(lines, meta=META_1000, warnings=want_w))
+        assert got == want and len(got) == len(lines) - 6
+        assert got_w == want_w and len(want_w) == 4  # blank lines are no records
+
+    @pytest.mark.parametrize("bad", [0, 5, BULK_LINES - 1, BULK_LINES, BULK_LINES + 17])
+    def test_strict_yields_the_records_before_the_error(self, bad):
+        lines = self._stream(bad_at=(bad,))
+        results = []
+        for fn in (iter_detections, _iter_detections_per_line):
+            out = []
+            with pytest.raises(ParseError) as exc:
+                for d in fn(lines, strict=True):
+                    out.append(d)
+            results.append((_detection_tuples(out), str(exc.value), exc.value.line_no))
+        assert results[0] == results[1]
+        assert len(results[0][0]) == bad and results[0][2] == bad + 1
+
+    def test_lazy(self):
+        lines = self._stream()
+        pulled = []
+
+        def source():
+            for line in lines:
+                pulled.append(line)
+                yield line
+
+        stream = iter_detections(source())
+        next(stream)
+        assert len(pulled) == BULK_LINES
+        assert sum(1 for _ in stream) == len(lines) - 1
 
 
 class TestDetectionChunk:

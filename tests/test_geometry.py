@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from obbkit.errors import GeometryError
 from obbkit.geometry import (
+    EDGE_TOL,
     RectAA,
+    _canonical_quad,
+    as_quad,
     canonical_order,
     clip_areas_to_rect,
     clip_to_rect,
@@ -29,6 +32,8 @@ from oracles import (
     _count_hits,
     _inside_convex,
     _split_samples,
+    convex_intersection_reference,
+    iou_obb_reference,
     mc_intersection_area,
     normalize_quad_reference,
     random_convex_quad,
@@ -106,6 +111,14 @@ class TestNormalizeQuad:
     def test_wrong_vertex_count(self):
         with pytest.raises(GeometryError):
             normalize_quad([[0, 0], [1, 0], [1, 1]])
+
+    def test_edge_tol_is_in_pixels(self):
+        # EDGE_TOL is an absolute area in px^2: a box far below a pixel is degenerate
+        assert EDGE_TOL == 1e-9
+        assert normalize_quad(quad_from_rect(5.0, 5.0, 1e-5, 1e-5, 0.0))[1]
+        assert not normalize_quad(quad_from_rect(5.0, 5.0, 1.0, 1.0, 0.0))[1]
+        rotated = np.stack([quad_from_rect(0.5, 0.5, 1e-5, 1e-5, 30.0), quad_from_rect(0.5, 0.5, 1.0, 1.0, 30.0)])
+        assert degenerate_mask(rotated).tolist() == [True, False]
 
 
 class TestClipToRect:
@@ -417,6 +430,7 @@ class TestCanonicalOrder:
     def _assert_matches_reference(quads: np.ndarray) -> None:
         ref = [normalize_quad_reference(q) for q in quads]
         assert canonical_order(quads).tobytes() == np.stack([v for v, _ in ref]).tobytes()
+        assert np.array([_canonical_quad(q.tolist()) for q in quads]).tobytes() == canonical_order(quads).tobytes()
         assert degenerate_mask(quads).tolist() == [flag for _, flag in ref]
         for quad, (ref_v, ref_flag) in zip(quads, ref):
             v, flag = normalize_quad(quad)
@@ -456,3 +470,89 @@ class TestIntersectionContainment:
                     p, q = v[i], v[(i + 1) % 4]
                     cross = (q[0] - p[0]) * (inter[:, 1] - p[1]) - (q[1] - p[1]) * (inter[:, 0] - p[0])
                     assert (cross >= -1e-6).all()
+
+
+def _same(x, y) -> bool:
+    """Equal bit for bit, NaN included."""
+    return np.asarray(x).shape == np.asarray(y).shape and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def _outcome(fn, a, b):
+    try:
+        return fn(a, b)
+    except GeometryError as exc:
+        return f"GeometryError: {exc}"
+
+
+def _reference_pairs():
+    """Random, shuffled, touching, nested and degenerate quad pairs."""
+    rng = np.random.default_rng(83)
+    pairs = []
+    for _ in range(300):
+        a = random_convex_quad(rng, rng.uniform(0, 200, 2), rng.uniform(1, 80))
+        b = random_convex_quad(rng, rng.uniform(0, 200, 2), rng.uniform(1, 80))
+        pairs.append((a, b))
+        pairs.append((a[rng.permutation(4)], b[rng.permutation(4)]))  # bow-ties and reversed windings
+    square = quad_from_rect(5.0, 5.0, 10.0, 10.0, 0.0)
+    for quad in (
+        quad_from_rect(15.0, 5.0, 10.0, 10.0, 0.0),  # shares an edge
+        quad_from_rect(15.0, 15.0, 10.0, 10.0, 0.0),  # shares a corner
+        quad_from_rect(5.0, 5.0, 4.0, 2.0, 30.0),  # nested
+        quad_from_rect(5.0, 5.0, 40.0, 40.0, 10.0),  # encloses
+        square[::-1],  # the same region, clockwise
+        np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),  # bow-tie
+        np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),  # zero area
+        np.array([[2.0, 2.0]] * 4),  # one point
+    ):
+        pairs += [(square, quad), (quad, square), (quad, quad)]
+    return pairs
+
+
+class TestScalarPairRoute:
+    """iou_obb and convex_intersection on Python floats against the former numpy pair route."""
+
+    def test_bit_identical_to_reference(self):
+        for a, b in _reference_pairs():
+            assert _same(_outcome(iou_obb, a, b), _outcome(iou_obb_reference, a, b))
+            assert _same(convex_intersection(a, b), convex_intersection_reference(a, b))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[0, 0], [1, 0], [1, 1]],
+            [[0, 0], [1, 0], [1, 1], [0, 1], [2, 2]],
+            np.zeros((4, 3)),
+            [[0, 0], [1, 0], [1, math.nan], [0, 1]],
+            [[0, 0], [1, 0], [math.inf, 1], [0, 1]],
+            [],
+        ],
+    )
+    def test_same_geometry_errors(self, bad):
+        good = quad_from_rect(0.0, 0.0, 1.0, 1.0, 0.0)
+        with pytest.raises(GeometryError) as want:
+            as_quad(bad)
+        for call in (lambda: iou_obb(bad, good), lambda: iou_obb(good, bad), lambda: convex_intersection(bad, good)):
+            with pytest.raises(GeometryError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+    def test_coordinates_near_float_max_accepted(self):
+        # each coordinate is finite though their sum overflows
+        big = [[1e308, 1e308], [1.7e308, 1e308], [1.7e308, 1.7e308], [1e308, 1.7e308]]
+        wide = [[-1e308, -1e308], [1.7e308, -1e308], [1.7e308, 1.7e308], [-1e308, 1.7e308]]
+        edge = [[0.0, 0.0], [1.7e308, 0.0], [1.7e308, 1e308], [0.0, 1e308]]  # NaN distances (0 * inf) past vertex 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in ((big, big), (big, wide), (wide, big), (edge, wide)):
+                assert _same(iou_obb(a, b), iou_obb_reference(a, b))
+                assert _same(convex_intersection(a, b), convex_intersection_reference(a, b))
+
+    def test_list_tuple_and_array_inputs(self):
+        rng = np.random.default_rng(89)
+        for _ in range(50):
+            a = random_convex_quad(rng, rng.uniform(0, 50, 2), rng.uniform(1, 20))
+            b = random_convex_quad(rng, rng.uniform(0, 50, 2), rng.uniform(1, 20))
+            want = iou_obb(a, b)
+            for convert in (np.ndarray.tolist, lambda q: tuple(map(tuple, q.tolist())), list):  # list: of row arrays
+                assert iou_obb(convert(a), convert(b)) == want
+                assert _same(convex_intersection(convert(a), convert(b)), convex_intersection(a, b))
+            assert iou_obb(a.tolist(), b) == want
