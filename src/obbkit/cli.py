@@ -103,32 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_meta(args, require_dims: bool, default_fps: float = 1.0) -> FrameMeta | None:
-    base: dict = {}
-    if args.meta is not None:
-        meta = FrameMeta.from_json_file(args.meta)
-        base = {
-            "width": meta.width,
-            "height": meta.height,
-            "fps": meta.fps,
-            "frame_count": meta.frame_count,
-            "video_id": meta.video_id,
-        }
-    if args.width is not None:
-        base["width"] = args.width
-    if args.height is not None:
-        base["height"] = args.height
-    if args.fps is not None:
-        base["fps"] = args.fps
-    if args.frames is not None:
-        base["frame_count"] = args.frames
-    if "width" not in base or "height" not in base:
+def _resolve_meta(args, require_dims: bool) -> FrameMeta | None:
+    fields = dataclasses.asdict(FrameMeta.from_json_file(args.meta)) if args.meta is not None else {}
+    fields.update((name, getattr(args, flag)) for flag, name in _META_FLAGS.items() if getattr(args, flag) is not None)
+    if "width" not in fields or "height" not in fields:
         if require_dims:
             raise ConfigError("frame dimensions required: pass --meta or --width/--height")
         return None
-    base.setdefault("fps", default_fps)
-    base.setdefault("frame_count", 0)
-    return FrameMeta(**base)
+    return FrameMeta(**fields)
 
 
 def _load_classes(args) -> ClassMap | None:
@@ -177,6 +159,7 @@ def _setup_logging() -> None:
 
 
 _CONFIG_NAMES = {"format": "fmt", "out": "out_dir", "labels": "labels_dir"}  # flag -> config field
+_META_FLAGS = {"width": "width", "height": "height", "fps": "fps", "frames": "frame_count"}  # flag -> FrameMeta field
 
 
 def _config(cls, args, **computed):

@@ -637,19 +637,6 @@ def read_detection_range(path: str | Path, offset: int, n_lines: int, first_line
     return parse_detection_chunk(lines, first_line_no, *args, invalid_utf8=invalid)
 
 
-def parse_detection_line(
-    line: str,
-    class_map: ClassMap | None = None,
-    meta: FrameMeta | None = None,
-    line_no: int = 1,
-) -> Detection:
-    """Parse one record; a malformed or degenerate record raises ParseError."""
-    chunk = parse_detection_chunk([line], line_no, class_map, meta, strict=True)
-    if not chunk.n_records:
-        raise ParseError("blank line", line_no)
-    return next(chunk.detections())
-
-
 def iter_detections(
     lines: Iterable[str],
     class_map: ClassMap | None = None,
@@ -745,10 +732,6 @@ def format_cell(value) -> str:
     if value is None:
         return ""
     return str(value)
-
-
-def write_table_csv(path: str | Path, fieldnames: list[str], rows: list[dict]) -> None:
-    write_table(path, fieldnames, rows, "csv")
 
 
 def read_table_csv(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:

@@ -2,16 +2,23 @@
 
 Per frame and brand, coverage is the summed area of the detection
 polygons clipped to the frame, divided by the frame area and capped at
-1 (overlapping boxes are summed, not unioned, before the cap).  Frame
-coverages aggregate into exposure seconds, average coverage on present
-frames, average coverage over all frames, maximum coverage and the
-total detection count.
+1 (overlapping boxes are summed in record order, not unioned, before
+the cap).  Frame coverages aggregate into exposure seconds, average
+coverage on present frames, average coverage over all frames, maximum
+coverage and the total detection count.
+
+The columnar kernels (coverage_columns, filter_coverage and
+aggregate_columns, chained by reduce_coverage for analyze) are the only
+implementation.  The one-brand functions frame_coverage,
+aggregate_brand, temporal_filter and build_timeline are views of them,
+so they give analyze's bits; frame_coverage now sums in record order
+(it used math.fsum, so its last bit can differ from earlier versions).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -65,104 +72,6 @@ class ExposureTimeline:
 
     series: dict[int, list[tuple[int, float]]]
     ranking: list[tuple[int, float]]
-
-
-def frame_rect(meta: FrameMeta) -> RectAA:
-    return RectAA(0.0, 0.0, meta.width, meta.height)
-
-
-def frame_coverage(dets: list[Detection], meta: FrameMeta) -> FrameCoverage:
-    """Coverage of one brand's detections within one frame.
-
-    All detections must share brand and frame; an empty list yields
-    c=0, z=0, count=0.
-    """
-    if not dets:
-        return FrameCoverage(frame_index=0, brand_id=0, c=0.0, z=0, detection_count=0)
-    brand = dets[0].class_id
-    frame = dets[0].frame_index
-    for d in dets[1:]:
-        if d.class_id != brand or d.frame_index != frame:
-            raise ValueError("frame_coverage requires detections of one brand in one frame")
-    quads = np.stack([d.quad for d in dets])
-    total = math.fsum(clip_areas_to_rect(quads, frame_rect(meta)).tolist())
-    c = min(1.0, total / meta.frame_area)
-    return FrameCoverage(
-        frame_index=frame,
-        brand_id=brand,
-        c=c,
-        z=1 if c > 0.0 else 0,
-        detection_count=len(dets),
-    )
-
-
-def aggregate_brand(coverages: list[FrameCoverage], meta: FrameMeta) -> BrandMetrics:
-    """Collapse one brand's frame coverages into its video-level metrics.
-
-    Frames without an entry count as z=0.  math.fsum keeps the sums
-    exactly rounded, so the result is independent of coverage order.
-    """
-    if meta.frame_count <= 0:
-        raise ConfigError("aggregation requires a positive frame count")
-    if meta.fps <= 0:
-        raise ConfigError("aggregation requires a positive frame rate")
-    n_visible = sum(cov.z for cov in coverages)
-    weighted = math.fsum(cov.z * cov.c for cov in coverages)
-    exposure = meta.dt * n_visible
-    present = 100.0 * weighted / n_visible if n_visible > 0 else 0.0
-    overall = 100.0 * weighted / meta.frame_count
-    max_cov = 100.0 * max((cov.c for cov in coverages), default=0.0)
-    brand = coverages[0].brand_id if coverages else 0
-    return BrandMetrics(
-        brand_id=brand,
-        exposure_s=exposure,
-        avg_cov_present_pct=present,
-        avg_cov_overall_pct=overall,
-        max_cov_pct=max_cov,
-        detection_count=sum(cov.detection_count for cov in coverages),
-        frames_visible=n_visible,
-    )
-
-
-def temporal_filter(z, min_run: int = 1, max_gap: int = 0) -> np.ndarray:
-    """Smooth a per-frame visibility series.
-
-    Gaps of at most ``max_gap`` zero frames between visible runs are
-    bridged first, then runs shorter than ``min_run`` are suppressed.
-    Defaults are the identity.  Bridged frames mark presence only; the
-    caller must not attribute coverage area to them.
-    """
-    if min_run < 1:
-        raise ConfigError(f"min_run must be >= 1, got {min_run}")
-    if max_gap < 0:
-        raise ConfigError(f"max_gap must be >= 0, got {max_gap}")
-    out = np.asarray(z, dtype=np.int8).copy()
-    if out.ndim != 1:
-        raise ValueError("z must be a 1-D series")
-    n = out.shape[0]
-    if n == 0:
-        return out
-
-    runs = _runs(out)
-    if max_gap > 0:
-        for (s0, e0), (s1, _e1) in zip(runs, runs[1:]):
-            if s1 - e0 <= max_gap:
-                out[e0:s1] = 1
-        runs = _runs(out)
-    if min_run > 1:
-        for s, e in runs:
-            if e - s < min_run:
-                out[s:e] = 0
-    return out
-
-
-def _runs(z: np.ndarray) -> list[tuple[int, int]]:
-    """Half-open [start, end) index ranges of consecutive ones."""
-    padded = np.concatenate(([0], z, [0]))
-    diff = np.diff(padded)
-    starts = np.flatnonzero(diff == 1)
-    ends = np.flatnonzero(diff == -1)
-    return list(zip(starts.tolist(), ends.tolist()))
 
 
 @dataclass(frozen=True)
@@ -235,20 +144,116 @@ def filter_coverage(cov: CoverageColumns, min_run: int, max_gap: int) -> Coverag
     return CoverageColumns(all_b[src], all_f[src], c, visible, np.where(has_entry, cov.counts[entry], 0))
 
 
-def aggregate_columns(cov: CoverageColumns, meta: FrameMeta) -> list[BrandMetrics]:
-    """aggregate_brand for every brand of the columns, brands ascending."""
+def _brand_spans(cov: CoverageColumns) -> list[tuple[int, int, int, int]]:
+    """(brand, first row, end row, visible frames) of every brand of the columns."""
     first = np.flatnonzero(_starts(cov.brands))
-    bounds = np.append(first, cov.brands.size).tolist()
-    n_visible = np.add.reduceat(cov.z.astype(np.int64), first).tolist()
-    counts = np.add.reduceat(cov.counts, first).tolist()
+    ends = np.append(first[1:], cov.brands.size)
+    n_visible = np.add.reduceat(cov.z.astype(np.int64), first)
+    return list(zip(cov.brands[first].tolist(), first.tolist(), ends.tolist(), n_visible.tolist()))
+
+
+def aggregate_columns(cov: CoverageColumns, meta: FrameMeta) -> list[BrandMetrics]:
+    """Video-level metrics of every brand of the columns, brands ascending."""
     c, weighted = cov.c.tolist(), (cov.c * cov.z).tolist()
     out = []
-    for i, brand in enumerate(cov.brands[first].tolist()):
-        lo, hi = bounds[i], bounds[i + 1]
-        total, n = math.fsum(weighted[lo:hi]), n_visible[i]
+    for brand, lo, hi, n in _brand_spans(cov):
+        total, count = math.fsum(weighted[lo:hi]), int(cov.counts[lo:hi].sum())
         present = 100.0 * total / n if n > 0 else 0.0
         overall = 100.0 * total / meta.frame_count
-        out.append(BrandMetrics(brand, meta.dt * n, present, overall, 100.0 * max(c[lo:hi], default=0.0), counts[i], n))
+        out.append(BrandMetrics(brand, meta.dt * n, present, overall, 100.0 * max(c[lo:hi]), count, n))
+    return out
+
+
+def _report_order(brand: int, exposure_s: float) -> tuple[float, int]:
+    """Sort key of the brands in every report: exposure descending, then brand id."""
+    return -exposure_s, brand
+
+
+def _ranking(exposures: list[tuple[int, float]], k: int) -> list[tuple[int, float]]:
+    """The top ``k`` of (brand, exposure_s) pairs, in report order."""
+    return sorted(exposures, key=lambda item: _report_order(*item))[:k]
+
+
+def reduce_coverage(
+    frames: np.ndarray,
+    classes: np.ndarray,
+    areas: np.ndarray,
+    meta: FrameMeta,
+    n_frames: int,
+    top_k: int,
+    min_run: int,
+    max_gap: int,
+) -> tuple[list[BrandMetrics], CoverageColumns, list[tuple[int, float]]]:
+    """Per-detection areas -> (brand metrics, filtered timeline columns, top-K (brand, exposure) ranking)."""
+    cov = coverage_columns(frames, classes, areas, meta.frame_area)
+    if min_run > 1 or max_gap > 0:
+        cov = filter_coverage(cov, min_run, max_gap)
+    brand_metrics = aggregate_columns(cov, replace(meta, frame_count=n_frames))
+    return brand_metrics, cov, _ranking([(m.brand_id, m.exposure_s) for m in brand_metrics], top_k)
+
+
+# ---------------------------------------------------------------------------
+# One-brand views of the columnar kernels
+
+
+def _columns(coverages: list[FrameCoverage]) -> CoverageColumns:
+    """FrameCoverages as columns, ordered by brand, then frame."""
+    fields = (("brand_id", np.int64), ("frame_index", np.int64), ("c", float), ("z", bool), ("detection_count", np.int64))
+    cols = [np.array([getattr(cov, name) for cov in coverages], dtype) for name, dtype in fields]
+    order = np.lexsort((cols[1], cols[0]))
+    return CoverageColumns(*(col[order] for col in cols))
+
+
+def frame_coverage(dets: list[Detection], meta: FrameMeta) -> FrameCoverage:
+    """Coverage of one brand's detections within one frame, as analyze computes it.
+
+    All detections must share brand and frame; an empty list yields
+    c=0, z=0, count=0.
+    """
+    if not dets:
+        return FrameCoverage(frame_index=0, brand_id=0, c=0.0, z=0, detection_count=0)
+    brand, frame, n = dets[0].class_id, dets[0].frame_index, len(dets)
+    if any(d.class_id != brand or d.frame_index != frame for d in dets):
+        raise ValueError("frame_coverage requires detections of one brand in one frame")
+    areas = clip_areas_to_rect(np.stack([d.quad for d in dets]), RectAA(0.0, 0.0, meta.width, meta.height))
+    cov = coverage_columns(np.full(n, frame, np.int64), np.full(n, brand, np.int64), areas, meta.frame_area)
+    return FrameCoverage(frame_index=frame, brand_id=brand, c=float(cov.c[0]), z=int(cov.z[0]), detection_count=n)
+
+
+def aggregate_brand(coverages: list[FrameCoverage], meta: FrameMeta) -> BrandMetrics:
+    """Collapse one brand's frame coverages into its video-level metrics (aggregate_columns).
+
+    Frames without an entry count as z=0.  math.fsum keeps the sums
+    exactly rounded, so the result is independent of coverage order.
+    """
+    if meta.frame_count <= 0:
+        raise ConfigError("aggregation requires a positive frame count")
+    if len({cov.brand_id for cov in coverages}) > 1:
+        raise ValueError("aggregate_brand requires the frame coverages of one brand")
+    return (aggregate_columns(_columns(coverages), meta) or [BrandMetrics(0, 0.0, 0.0, 0.0, 0.0, 0, 0)])[0]
+
+
+def temporal_filter(z, min_run: int = 1, max_gap: int = 0) -> np.ndarray:
+    """Smooth a per-frame visibility series (filter_coverage on its visible frames).
+
+    Gaps of at most ``max_gap`` zero frames between visible runs are
+    bridged first, then runs shorter than ``min_run`` are suppressed.
+    Defaults are the identity.  Bridged frames mark presence only; the
+    caller must not attribute coverage area to them.
+    """
+    if min_run < 1:
+        raise ConfigError(f"min_run must be >= 1, got {min_run}")
+    if max_gap < 0:
+        raise ConfigError(f"max_gap must be >= 0, got {max_gap}")
+    z = np.asarray(z, dtype=np.int8)
+    if z.ndim != 1:
+        raise ValueError("z must be a 1-D series")
+    frames = np.flatnonzero(z)
+    n = frames.size
+    visible = CoverageColumns(np.zeros(n, np.int64), frames, np.ones(n), np.ones(n, bool), np.ones(n, np.int64))
+    shown = filter_coverage(visible, min_run, max_gap)
+    out = np.zeros_like(z)
+    out[shown.frames[shown.z]] = 1
     return out
 
 
@@ -261,34 +266,16 @@ def build_timeline(coverages: list[FrameCoverage], k: int, meta: FrameMeta) -> E
     """
     if k < 1:
         raise ConfigError(f"top-k must be >= 1, got {k}")
-    series: dict[int, list[tuple[int, float]]] = {}
-    visible: dict[int, int] = {}
-    for cov in sorted(coverages, key=lambda cv: (cv.brand_id, cv.frame_index)):
-        series.setdefault(cov.brand_id, []).append((cov.frame_index, cov.c))
-        visible[cov.brand_id] = visible.get(cov.brand_id, 0) + cov.z
-    exposures = [(brand, meta.dt * n) for brand, n in visible.items()]
-    exposures.sort(key=lambda item: (-item[1], item[0]))
-    return ExposureTimeline(series=series, ranking=exposures[:k])
+    cov = _columns(coverages)
+    frames, c, spans = cov.frames.tolist(), cov.c.tolist(), _brand_spans(cov)
+    series = {brand: list(zip(frames[lo:hi], c[lo:hi])) for brand, lo, hi, _ in spans}
+    return ExposureTimeline(series=series, ranking=_ranking([(b, meta.dt * n) for b, _, _, n in spans], k))
 
 
 def metrics_rows(metrics: list[BrandMetrics], names: dict[int, str] | None = None) -> list[dict]:
-    """Report rows ordered by exposure descending, then brand id."""
-    ordered = sorted(metrics, key=lambda m: (-m.exposure_s, m.brand_id))
-    rows = []
-    for m in ordered:
-        rows.append(
-            {
-                "brand_id": m.brand_id,
-                "brand_name": names.get(m.brand_id, "") if names else "",
-                "exposure_s": m.exposure_s,
-                "avg_cov_present_pct": m.avg_cov_present_pct,
-                "avg_cov_overall_pct": m.avg_cov_overall_pct,
-                "max_cov_pct": m.max_cov_pct,
-                "detection_count": m.detection_count,
-                "frames_visible": m.frames_visible,
-            }
-        )
-    return rows
+    """Report rows in report order (exposure descending, then brand id)."""
+    ranked = sorted(metrics, key=lambda m: _report_order(m.brand_id, m.exposure_s))
+    return [{**asdict(m), "brand_name": names.get(m.brand_id, "") if names else ""} for m in ranked]
 
 
 def timeline_rows(timeline: ExposureTimeline) -> list[dict]:

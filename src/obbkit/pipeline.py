@@ -18,7 +18,7 @@ import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,15 +62,7 @@ class RunReport:
     duration_s: float = 0.0
 
     def to_payload(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "counts": self.counts,
-            "warnings": self.warnings,
-            "outputs": self.outputs,
-            "summary": self.summary,
-            "duration_s": self.duration_s,
-        }
+        return asdict(self)
 
     def write(self, out_dir: Path) -> Path:
         path = out_dir / "run_report.json"
@@ -209,7 +201,7 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
         classes = np.zeros(0, np.int64)
         areas = np.zeros(0)
 
-    brand_metrics, timeline, ranking = _reduce_coverage(
+    brand_metrics, timeline, ranking = metrics.reduce_coverage(
         frames, classes, areas, cfg.meta, n_frames, cfg.top_k, cfg.min_run, cfg.max_gap
     )
 
@@ -243,25 +235,6 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
     report.duration_s = time.perf_counter() - t0
     report.write(cfg.out_dir)
     return report
-
-
-def _reduce_coverage(
-    frames: np.ndarray,
-    classes: np.ndarray,
-    areas: np.ndarray,
-    meta: FrameMeta,
-    n_frames: int,
-    top_k: int,
-    min_run: int,
-    max_gap: int,
-) -> tuple[list[metrics.BrandMetrics], metrics.CoverageColumns, list[tuple[int, float]]]:
-    """Per-detection areas -> (brand metrics, filtered timeline columns, top-K (brand, exposure) ranking)."""
-    cov = metrics.coverage_columns(frames, classes, areas, meta.frame_area)
-    if min_run > 1 or max_gap > 0:
-        cov = metrics.filter_coverage(cov, min_run, max_gap)
-    brand_metrics = metrics.aggregate_columns(cov, replace(meta, frame_count=n_frames))
-    ranking = sorted(((m.brand_id, m.exposure_s) for m in brand_metrics), key=lambda item: (-item[1], item[0]))
-    return brand_metrics, cov, ranking[:top_k]
 
 
 # ---------------------------------------------------------------------------
@@ -421,38 +394,26 @@ class FitConfig:
             tightness.check_bin_width(self.bin_width)
 
 
-def _tr_samples(boxes: list, source: str) -> list[tightness.TRSample]:
+def _tr_samples(boxes: list, source: str, warnings: list[str]) -> list[tightness.TRSample]:
     """TR samples of GroundTruths or Detections, one batch call per CHUNK_LINES boxes.
 
+    Degenerate boxes are left out with a warning.  Only ground truths
+    can be degenerate: the detection parser drops degenerate quads.
     Blocks bound the batch kernels' temporaries: one call over 20k boxes
     raised fit's peak RSS by about 5 MiB.
     """
+    kept = []
+    for box in boxes:
+        if box.degenerate:
+            warnings.append(f"{box.frame_id}: degenerate ground truth excluded from TR analysis")
+        else:
+            kept.append(box)
     out = []
-    for i in range(0, len(boxes), CHUNK_LINES):
-        part = boxes[i : i + CHUNK_LINES]
+    for i in range(0, len(kept), CHUNK_LINES):
+        part = kept[i : i + CHUNK_LINES]
         quads = np.array([b.quad for b in part]).reshape(-1, 4, 2)
         out.extend(tightness.tr_sample(quads, source, [b.class_id for b in part]))
     return out
-
-
-def _tr_samples_from_gts(gts: list[GroundTruth], warnings: list[str]) -> list[tightness.TRSample]:
-    kept = []
-    for gt in gts:
-        if gt.degenerate:
-            warnings.append(f"{gt.frame_id}: degenerate ground truth excluded from TR analysis")
-            continue
-        kept.append(gt)
-    return _tr_samples(kept, "ground_truth")
-
-
-def _tr_samples_from_preds(preds: list[Detection], warnings: list[str]) -> list[tightness.TRSample]:
-    kept = []
-    for det in preds:
-        if det.degenerate:
-            warnings.append(f"{det.video_id}#{det.frame_index}: degenerate prediction excluded from TR analysis")
-            continue
-        kept.append(det)
-    return _tr_samples(kept, "prediction")
 
 
 def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
@@ -466,10 +427,10 @@ def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
     n_classes = len(cfg.class_map) if cfg.class_map else None
     if cfg.labels_dir is not None:
         gts, _ = load_ground_truth(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings)
-        gt_samples = _tr_samples_from_gts(gts, report.warnings)
+        gt_samples = _tr_samples(gts, "ground_truth", report.warnings)
     if cfg.detections is not None:
         preds, _ = load_predictions(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings)
-        pred_samples = _tr_samples_from_preds(preds, report.warnings)
+        pred_samples = _tr_samples(preds, "prediction", report.warnings)
     if not gt_samples and not pred_samples:
         raise DataError("no valid samples for TR analysis")
 

@@ -388,6 +388,106 @@ def tr_sample_reference(quad) -> tuple[float, float]:
     return tr, (180.0 - ang if ang > 90.0 else ang)
 
 
+# The one-brand loops that the columnar kernels of obbkit.metrics replaced,
+# kept as the reference of reduce_coverage_reference.
+
+
+def temporal_filter_reference(z, min_run: int = 1, max_gap: int = 0) -> np.ndarray:
+    """Smooth a per-frame visibility series.
+
+    Gaps of at most ``max_gap`` zero frames between visible runs are
+    bridged first, then runs shorter than ``min_run`` are suppressed.
+    Defaults are the identity.  Bridged frames mark presence only; the
+    caller must not attribute coverage area to them.
+    """
+    from obbkit.errors import ConfigError
+
+    if min_run < 1:
+        raise ConfigError(f"min_run must be >= 1, got {min_run}")
+    if max_gap < 0:
+        raise ConfigError(f"max_gap must be >= 0, got {max_gap}")
+    out = np.asarray(z, dtype=np.int8).copy()
+    if out.ndim != 1:
+        raise ValueError("z must be a 1-D series")
+    n = out.shape[0]
+    if n == 0:
+        return out
+
+    runs = _runs(out)
+    if max_gap > 0:
+        for (s0, e0), (s1, _e1) in zip(runs, runs[1:]):
+            if s1 - e0 <= max_gap:
+                out[e0:s1] = 1
+        runs = _runs(out)
+    if min_run > 1:
+        for s, e in runs:
+            if e - s < min_run:
+                out[s:e] = 0
+    return out
+
+
+def _runs(z: np.ndarray) -> list[tuple[int, int]]:
+    """Half-open [start, end) index ranges of consecutive ones."""
+    padded = np.concatenate(([0], z, [0]))
+    diff = np.diff(padded)
+    starts = np.flatnonzero(diff == 1)
+    ends = np.flatnonzero(diff == -1)
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
+def aggregate_brand_reference(coverages, meta):
+    """Collapse one brand's frame coverages into its video-level metrics.
+
+    Frames without an entry count as z=0.  math.fsum keeps the sums
+    exactly rounded, so the result is independent of coverage order.
+    """
+    from obbkit import metrics
+    from obbkit.errors import ConfigError
+
+    if meta.frame_count <= 0:
+        raise ConfigError("aggregation requires a positive frame count")
+    if meta.fps <= 0:
+        raise ConfigError("aggregation requires a positive frame rate")
+    n_visible = sum(cov.z for cov in coverages)
+    weighted = math.fsum(cov.z * cov.c for cov in coverages)
+    exposure = meta.dt * n_visible
+    present = 100.0 * weighted / n_visible if n_visible > 0 else 0.0
+    overall = 100.0 * weighted / meta.frame_count
+    max_cov = 100.0 * max((cov.c for cov in coverages), default=0.0)
+    brand = coverages[0].brand_id if coverages else 0
+    return metrics.BrandMetrics(
+        brand_id=brand,
+        exposure_s=exposure,
+        avg_cov_present_pct=present,
+        avg_cov_overall_pct=overall,
+        max_cov_pct=max_cov,
+        detection_count=sum(cov.detection_count for cov in coverages),
+        frames_visible=n_visible,
+    )
+
+
+def build_timeline_reference(coverages, k: int, meta):
+    """Per-brand coverage series and the top-K brands by exposure.
+
+    Visibility comes from the z flags, so a temporally filtered series
+    (bridged frames carry z=1 with zero coverage) ranks consistently
+    with aggregate_brand.
+    """
+    from obbkit import metrics
+    from obbkit.errors import ConfigError
+
+    if k < 1:
+        raise ConfigError(f"top-k must be >= 1, got {k}")
+    series: dict[int, list[tuple[int, float]]] = {}
+    visible: dict[int, int] = {}
+    for cov in sorted(coverages, key=lambda cv: (cv.brand_id, cv.frame_index)):
+        series.setdefault(cov.brand_id, []).append((cov.frame_index, cov.c))
+        visible[cov.brand_id] = visible.get(cov.brand_id, 0) + cov.z
+    exposures = [(brand, meta.dt * n) for brand, n in visible.items()]
+    exposures.sort(key=lambda item: (-item[1], item[0]))
+    return metrics.ExposureTimeline(series=series, ranking=exposures[:k])
+
+
 def reduce_coverage_reference(frames, classes, areas, meta, n_frames, top_k, min_run, max_gap):
     """The object-per-(brand, frame) reduction and dense per-brand temporal filter of analyze.
 
@@ -403,7 +503,7 @@ def reduce_coverage_reference(frames, classes, areas, meta, n_frames, top_k, min
         by_frame = {e.frame_index: e for e in entries}
         for e in entries:
             z[e.frame_index] = e.z
-        z_f = metrics.temporal_filter(z, min_run=min_run, max_gap=max_gap)
+        z_f = temporal_filter_reference(z, min_run=min_run, max_gap=max_gap)
         out = []
         brand = entries[0].brand_id
         touched = sorted(set(by_frame) | set(np.flatnonzero(z_f != 0).tolist()))
@@ -461,10 +561,10 @@ def reduce_coverage_reference(frames, classes, areas, meta, n_frames, top_k, min
         }
 
     brand_metrics = [
-        metrics.aggregate_brand(entries, eff_meta) for _, entries in sorted(coverages.items())
+        aggregate_brand_reference(entries, eff_meta) for _, entries in sorted(coverages.items())
     ]
     all_cov = [cv for entries in coverages.values() for cv in entries]
-    timeline = metrics.build_timeline(all_cov, top_k, eff_meta)
+    timeline = build_timeline_reference(all_cov, top_k, eff_meta)
     return brand_metrics, timeline
 
 

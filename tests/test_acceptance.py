@@ -18,7 +18,7 @@ from conftest import detection_line
 from obbkit.cli import main
 from obbkit.errors import ParseError
 from obbkit.evaluation import average_precision, evaluate
-from obbkit.formats import Detection, FrameMeta, parse_detection_line, parse_obb_label_line, serialize_obb_label_line
+from obbkit.formats import Detection, FrameMeta, parse_detection_chunk, parse_obb_label_line, serialize_obb_label_line
 from obbkit.geometry import convex_intersection, iou_obb, polygon_area, quad_from_rect
 from obbkit.losses import run_loss_checks
 from obbkit.metrics import FrameCoverage, aggregate_brand, frame_coverage
@@ -232,7 +232,7 @@ def test_criterion_7_format_round_trip():
     ]
     for line, expected in det_cases:
         with pytest.raises(ParseError) as err:
-            parse_detection_line(line)
+            parse_detection_chunk([line], 1, strict=True)
         assert expected in str(err.value), line
 
     assert len(label_cases) + len(det_cases) == 20

@@ -15,13 +15,11 @@ from obbkit.formats import (
     load_class_map,
     load_split,
     parse_detection_chunk,
-    parse_detection_line,
     parse_obb_label_line,
     read_label_file,
     read_table_csv,
     serialize_obb_label_line,
     write_table,
-    write_table_csv,
 )
 from conftest import detection_line
 from oracles import normalize_quad_reference, random_convex_quad, write_table_reference
@@ -30,6 +28,12 @@ from obbkit.geometry import quad_from_rect
 
 META_1000 = FrameMeta(width=1000.0, height=1000.0, fps=25.0, frame_count=100)
 META_100 = FrameMeta(width=100.0, height=100.0)
+
+
+def parse_one(line, class_map=None, meta=None):
+    """The Detection of one line, parsed in strict mode."""
+    (det,) = parse_detection_chunk([line], 1, class_map, meta, strict=True).detections()
+    return det
 
 
 class TestParseLabelLine:
@@ -99,7 +103,7 @@ class TestRoundTrip:
 class TestDetectionStream:
     def test_valid_record(self):
         line = detection_line("v1", 3, 2, quad_from_rect(50, 50, 10, 5, 20), 0.97)
-        det = parse_detection_line(line)
+        det = parse_one(line)
         assert det.video_id == "v1"
         assert det.frame_index == 3
         assert det.class_id == 2
@@ -109,47 +113,47 @@ class TestDetectionStream:
     def test_confidence_out_of_range(self):
         line = detection_line("v", 0, 0, quad_from_rect(5, 5, 2, 2, 0), 1.7)
         with pytest.raises(ParseError, match="out of range"):
-            parse_detection_line(line)
+            parse_one(line)
 
     def test_three_vertex_polygon(self):
         obj = {"video_id": "v", "frame": 0, "class": 0, "poly": [[0, 0], [1, 0], [1, 1]], "conf": 0.5}
         with pytest.raises(ParseError, match="expected 4 vertices"):
-            parse_detection_line(json.dumps(obj))
+            parse_one(json.dumps(obj))
 
     def test_missing_field(self):
         obj = {"video_id": "v", "frame": 0, "poly": [[0, 0], [1, 0], [1, 1], [0, 1]], "conf": 0.5}
         with pytest.raises(ParseError, match="missing field 'class'"):
-            parse_detection_line(json.dumps(obj))
+            parse_one(json.dumps(obj))
 
     def test_class_name_requires_map(self):
         line = detection_line("v", 0, "acme", quad_from_rect(5, 5, 2, 2, 0), 0.5)
         with pytest.raises(ParseError, match="requires a class map"):
-            parse_detection_line(line)
+            parse_one(line)
 
     def test_class_name_resolved(self):
         cmap = ClassMap(("acme", "globex"))
         line = detection_line("v", 0, "globex", quad_from_rect(5, 5, 2, 2, 0), 0.5)
-        assert parse_detection_line(line, cmap).class_id == 1
+        assert parse_one(line, cmap).class_id == 1
 
     def test_unknown_class_name(self):
         cmap = ClassMap(("acme",))
         line = detection_line("v", 0, "initech", quad_from_rect(5, 5, 2, 2, 0), 0.5)
         with pytest.raises(ParseError, match="unknown class name"):
-            parse_detection_line(line, cmap)
+            parse_one(line, cmap)
 
     def test_frame_beyond_count(self):
         line = detection_line("v", 120, 0, quad_from_rect(5, 5, 2, 2, 0), 0.5)
         with pytest.raises(ParseError, match="outside video"):
-            parse_detection_line(line, meta=META_1000)
+            parse_one(line, meta=META_1000)
 
     def test_boolean_frame_rejected(self):
         obj = {"video_id": "v", "frame": True, "class": 0, "poly": [[0, 0], [1, 0], [1, 1], [0, 1]], "conf": 0.5}
         with pytest.raises(ParseError, match="non-negative integer"):
-            parse_detection_line(json.dumps(obj))
+            parse_one(json.dumps(obj))
 
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
-            parse_detection_line("{not json")
+            parse_one("{not json")
 
     def test_lax_skips_and_reports(self):
         good = detection_line("v", 0, 0, quad_from_rect(5, 5, 2, 2, 0), 0.9)
@@ -461,7 +465,7 @@ class TestReportTables:
             {"brand_id": 1, "exposure_s": 0.1 + 0.2, "note": ""},
         ]
         path = tmp_path / "report.csv"
-        write_table_csv(path, self.FIELDS, rows)
+        write_table(path, self.FIELDS, rows, "csv")
         header, parsed = read_table_csv(path)
         assert header == self.FIELDS
         assert parsed[0]["note"] == 'say "hi", ok'
@@ -470,7 +474,7 @@ class TestReportTables:
 
     def test_header_only_for_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_table_csv(path, self.FIELDS, [])
+        write_table(path, self.FIELDS, [], "csv")
         assert path.read_text() == "brand_id,exposure_s,note\n"
 
     def test_json_rows(self, tmp_path):
@@ -503,6 +507,6 @@ class TestReportTables:
     def test_deterministic_bytes(self, tmp_path):
         rows = [{"brand_id": i, "exposure_s": i * 0.1, "note": "x"} for i in range(20)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_table_csv(p1, self.FIELDS, rows)
-        write_table_csv(p2, self.FIELDS, rows)
+        write_table(p1, self.FIELDS, rows, "csv")
+        write_table(p2, self.FIELDS, rows, "csv")
         assert p1.read_bytes() == p2.read_bytes()

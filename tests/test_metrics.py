@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obbkit.cli import main
 from obbkit.errors import ConfigError
-from obbkit.formats import Detection, FrameMeta
+from obbkit.formats import Detection, FrameMeta, read_table_csv
 from obbkit.geometry import quad_from_rect
 from obbkit.metrics import (
     BrandMetrics,
@@ -18,10 +19,11 @@ from obbkit.metrics import (
     coverage_columns,
     frame_coverage,
     metrics_rows,
+    reduce_coverage,
     temporal_filter,
 )
-from obbkit.pipeline import _reduce_coverage
-from oracles import reduce_coverage_reference
+from conftest import detection_line
+from oracles import aggregate_brand_reference, build_timeline_reference, reduce_coverage_reference, temporal_filter_reference
 
 META = FrameMeta(width=100.0, height=100.0, fps=2.0, frame_count=4)
 
@@ -63,6 +65,32 @@ class TestFrameCoverage:
                 META,
             )
 
+    def test_bits_equal_the_analyze_timeline(self, tmp_path):
+        """Each (brand, frame) group of a stream gives the coverage cell analyze writes, bit for bit.
+
+        The detections keep the stream's vertex order: analyze clips the
+        quads in that order, and the last bits of an area depend on it.
+        """
+        rng = np.random.default_rng(21)
+        groups: dict[tuple[int, int], list[Detection]] = {}
+        lines = []
+        for frame in range(400):
+            for brand in range(2):
+                for _ in range(int(rng.integers(3, 8))):
+                    cx, cy = rng.uniform(-60.0, 1340.0), rng.uniform(-40.0, 760.0)  # some boxes cross the edge
+                    quad = quad_from_rect(cx, cy, rng.uniform(8.0, 300.0), rng.uniform(6.0, 200.0), rng.uniform(0, 180))
+                    groups.setdefault((brand, frame), []).append(det(brand, frame, quad))
+                    lines.append(detection_line("v", frame, brand, quad, 0.9))
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("\n".join(lines) + "\n")
+        argv = ["analyze", "--detections", str(stream), "--width", "1280", "--height", "720", "--jobs", "1"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_table_csv(tmp_path / "out" / "timeline.csv")
+        written = {(int(r["brand_id"]), int(r["frame_index"])): float(r["coverage"]).hex() for r in rows}
+
+        meta = FrameMeta(width=1280.0, height=720.0)
+        assert {key: frame_coverage(dets, meta).c.hex() for key, dets in groups.items()} == written
+
 
 class TestAggregateBrand:
     def test_four_frame_fixture(self):
@@ -86,6 +114,19 @@ class TestAggregateBrand:
         assert m.avg_cov_present_pct == 100.0
         assert m.avg_cov_overall_pct == 100.0
         assert m.max_cov_pct == 100.0
+
+    def test_mixed_brands_rejected(self):
+        with pytest.raises(ValueError, match="one brand"):
+            aggregate_brand([cov(0, 0, 0.5), cov(1, 1, 0.25)], META)
+
+    def test_equals_the_reference_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            meta = FrameMeta(width=10, height=10, fps=float(rng.uniform(1, 60)), frame_count=n)
+            frames = rng.permutation(n)[: int(rng.integers(0, n + 1))].tolist()
+            covs = [cov(f, 4, float(rng.choice([0.0, rng.uniform(0, 1)])), int(rng.integers(0, 4))) for f in frames]
+            assert aggregate_brand(covs, meta) == aggregate_brand_reference(covs, meta)
 
     def test_requires_frame_count(self):
         with pytest.raises(ConfigError):
@@ -149,6 +190,13 @@ class TestTemporalFilter:
         with pytest.raises(ConfigError):
             temporal_filter([1], max_gap=-1)
 
+    @given(st.lists(st.integers(0, 1), max_size=60), st.integers(1, 5), st.integers(0, 5))
+    @settings(max_examples=300)
+    def test_equals_the_reference_loop(self, z, min_run, max_gap):
+        got = temporal_filter(z, min_run=min_run, max_gap=max_gap)
+        assert got.dtype == np.int8
+        assert got.tolist() == temporal_filter_reference(z, min_run=min_run, max_gap=max_gap).tolist()
+
     @given(st.lists(st.integers(0, 1), max_size=60), st.integers(1, 5))
     @settings(max_examples=150)
     def test_suppression_never_increases(self, z, min_run):
@@ -193,6 +241,13 @@ class TestTimeline:
         with pytest.raises(ConfigError):
             build_timeline([], 0, self.META10)
 
+    def test_equals_the_reference_loop(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            covs = [cov(int(f), int(b), float(rng.choice([0.0, rng.random()]))) for f, b in rng.integers(0, 6, (30, 2))]
+            k = int(rng.integers(1, 8))
+            assert build_timeline(covs, k, self.META10) == build_timeline_reference(covs, k, self.META10)
+
 
 class TestMetricsRows:
     def test_ordering(self):
@@ -214,7 +269,7 @@ def _bits(values) -> list[str]:
 
 
 class TestColumnarReduction:
-    """pipeline._reduce_coverage against the object-per-entry reduction it replaced."""
+    """metrics.reduce_coverage against the object-per-entry reduction it replaced."""
 
     META = FrameMeta(width=10.0, height=8.0, fps=3.0, frame_count=0)
 
@@ -222,7 +277,7 @@ class TestColumnarReduction:
         frames, classes, areas = np.asarray(frames, np.int64), np.asarray(classes, np.int64), np.asarray(areas, float)
         args = (frames, classes, areas, self.META, n_frames, top_k, min_run, max_gap)
         want_metrics, want_timeline = reduce_coverage_reference(*args)
-        got_metrics, got_cov, got_ranking = _reduce_coverage(*args)
+        got_metrics, got_cov, got_ranking = reduce_coverage(*args)
         assert [_bits(astuple(m)) for m in got_metrics] == [_bits(astuple(m)) for m in want_metrics]
         want_rows = [(b, f, c) for b in sorted(want_timeline.series) for f, c in want_timeline.series[b]]
         got_rows = list(zip(got_cov.brands.tolist(), got_cov.frames.tolist(), got_cov.c.tolist()))
@@ -232,7 +287,7 @@ class TestColumnarReduction:
         return got_cov
 
     def _check_dense(self, frames, classes, areas, n_frames, min_run, max_gap, got):
-        """Every brand's z equals temporal_filter on its dense series; counts stay on their frames."""
+        """Every brand's z equals the reference filter on its dense series; counts stay on their frames."""
         raw = coverage_columns(frames, classes, areas, self.META.frame_area)
         for brand in np.unique(raw.brands).tolist():
             z = np.zeros(n_frames, np.int8)
@@ -240,7 +295,7 @@ class TestColumnarReduction:
             mine = raw.brands == brand
             z[raw.frames[mine]] = raw.z[mine]
             counts[raw.frames[mine]] = raw.counts[mine]
-            want = temporal_filter(z, min_run=min_run, max_gap=max_gap)
+            want = temporal_filter_reference(z, min_run=min_run, max_gap=max_gap)
             got_z = np.zeros(n_frames, np.int8)
             got_counts = np.zeros(n_frames, np.int64)
             rows = got.brands == brand
@@ -304,7 +359,7 @@ class TestColumnarReduction:
     def test_frames_beyond_32_bits(self):
         frames = np.array([0, 1, 2, 4])
         small = self._check(frames, [0, 0, 0, 0], [1.0, 2.0, 3.0, 4.0], 5, min_run=2, max_gap=1)
-        big = _reduce_coverage(
+        big = reduce_coverage(
             frames + 2**40, np.zeros(4, np.int64), np.array([1.0, 2.0, 3.0, 4.0]), self.META, 2**40 + 5, 3, 2, 1
         )[1]
         assert (big.frames - 2**40).tolist() == small.frames.tolist()
