@@ -132,18 +132,18 @@ def _config_echo(args) -> dict:
 
 
 def _loss_params(args) -> LossParams:
+    names = [f.name for f in dataclasses.fields(LossParams)]
     values = {}
     if args.params is not None:
         with open(args.params, encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.params}: loss parameter file must be a JSON object")
-        allowed = {"gamma", "alpha", "lambda_box", "lambda_cls", "lambda_dfl"}
-        unknown = set(loaded) - allowed
+        unknown = set(loaded) - set(names)
         if unknown:
             raise ConfigError(f"unknown loss parameters {sorted(unknown)}")
         values.update(loaded)
-    for name in ("gamma", "alpha", "lambda_box", "lambda_cls", "lambda_dfl"):
+    for name in names:
         flag = getattr(args, name)
         if flag is not None:
             values[name] = flag

@@ -723,7 +723,7 @@ def load_split(
 
 
 # ---------------------------------------------------------------------------
-# Report writers/readers (deterministic column and key order)
+# Report writers (deterministic column and key order)
 
 
 def format_cell(value) -> str:
@@ -732,17 +732,6 @@ def format_cell(value) -> str:
     if value is None:
         return ""
     return str(value)
-
-
-def read_table_csv(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty CSV report") from None
-        rows = [dict(zip(header, row)) for row in reader]
-    return header, rows
 
 
 def write_json_report(path: str | Path, payload) -> None:

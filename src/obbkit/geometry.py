@@ -214,12 +214,6 @@ def enclosing_hbb(poly) -> RectAA:
     return RectAA(*enclosing_bounds(v[None])[0].tolist())
 
 
-def rect_iou(a: RectAA, b: RectAA) -> float:
-    """Axis-aligned IoU of two rectangles."""
-    bounds = np.array([[r.x_min, r.y_min, r.x_max, r.y_max] for r in (a, b)])
-    return float(rect_ious(bounds[:1], bounds[1:])[0, 0])
-
-
 def obb_orientation_deg(poly) -> float:
     """Angle of the longer edge pair against the horizontal, in [0, 90].
 

@@ -38,7 +38,7 @@ from .formats import (
     write_table,
 )
 from .formats import iter_detections, validate_detection_obj  # noqa: F401 - bound for the benchmark's layer tracer
-from .geometry import RectAA, clip_areas_to_rect
+from .geometry import RectAA, canonical_order, clip_areas_to_rect
 from .geometry import degenerate_mask  # noqa: F401 - bound for the benchmark's layer tracer
 from .losses import LossParams, run_loss_checks
 
@@ -114,6 +114,8 @@ class AnalyzeConfig:
             raise ConfigError(f"min_run must be >= 1, got {self.min_run}")
         if self.max_gap < 0:
             raise ConfigError(f"max_gap must be >= 0, got {self.max_gap}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass
@@ -289,6 +291,14 @@ def load_ground_truth(
     return gts, {pair.stem for pair in pairs}
 
 
+def _detection_chunks(path: Path, class_map: ClassMap | None, meta: FrameMeta | None, strict: bool, warnings: list):
+    """The DetectionChunks of a detections file, CHUNK_LINES lines each, read in order; collects their warnings."""
+    for span in line_ranges(path, CHUNK_LINES):
+        chunk = read_detection_range(path, *span, class_map, meta, strict)
+        warnings.extend(chunk.warnings)
+        yield chunk
+
+
 def load_predictions(
     path: Path,
     class_map: ClassMap | None,
@@ -299,9 +309,7 @@ def load_predictions(
     """Read a detections file; returns (records, skipped count)."""
     dets: list[Detection] = []
     n_skipped = 0
-    for span in line_ranges(path, CHUNK_LINES):
-        chunk = read_detection_range(path, *span, class_map, meta, strict)
-        warnings.extend(chunk.warnings)
+    for chunk in _detection_chunks(path, class_map, meta, strict, warnings):
         n_skipped += chunk.n_skipped
         dets.extend(chunk.detections())
     return dets, n_skipped
@@ -394,25 +402,24 @@ class FitConfig:
             tightness.check_bin_width(self.bin_width)
 
 
-def _tr_samples(boxes: list, source: str, warnings: list[str]) -> list[tightness.TRSample]:
-    """TR samples of GroundTruths or Detections, one batch call per CHUNK_LINES boxes.
+def _tr_samples(gts: list[GroundTruth], warnings: list[str]) -> list[tightness.TRSample]:
+    """TR samples of GroundTruths, one batch call per CHUNK_LINES boxes.
 
-    Degenerate boxes are left out with a warning.  Only ground truths
-    can be degenerate: the detection parser drops degenerate quads.
-    Blocks bound the batch kernels' temporaries: one call over 20k boxes
-    raised fit's peak RSS by about 5 MiB.
+    Degenerate ground truths are left out with a warning.  Blocks bound
+    the batch kernels' temporaries: one call over 20k boxes raised fit's
+    peak RSS by about 5 MiB.
     """
     kept = []
-    for box in boxes:
-        if box.degenerate:
-            warnings.append(f"{box.frame_id}: degenerate ground truth excluded from TR analysis")
+    for gt in gts:
+        if gt.degenerate:
+            warnings.append(f"{gt.frame_id}: degenerate ground truth excluded from TR analysis")
         else:
-            kept.append(box)
+            kept.append(gt)
     out = []
     for i in range(0, len(kept), CHUNK_LINES):
         part = kept[i : i + CHUNK_LINES]
-        quads = np.array([b.quad for b in part]).reshape(-1, 4, 2)
-        out.extend(tightness.tr_sample(quads, source, [b.class_id for b in part]))
+        quads = np.array([g.quad for g in part]).reshape(-1, 4, 2)
+        out.extend(tightness.tr_sample(quads, "ground_truth", [g.class_id for g in part]))
     return out
 
 
@@ -422,32 +429,33 @@ def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
     report = RunReport(command="fit", config=config_echo or {})
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
+    stats = {"gt_parsed": 0, "gt_skipped": 0}
     gt_samples: list[tightness.TRSample] = []
     pred_samples: list[tightness.TRSample] = []
+    n_pred_skipped = 0
     n_classes = len(cfg.class_map) if cfg.class_map else None
     if cfg.labels_dir is not None:
-        gts, _ = load_ground_truth(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings)
-        gt_samples = _tr_samples(gts, "ground_truth", report.warnings)
+        gts, _ = load_ground_truth(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings, stats)
+        gt_samples = _tr_samples(gts, report.warnings)
     if cfg.detections is not None:
-        preds, _ = load_predictions(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings)
-        pred_samples = _tr_samples(preds, "prediction", report.warnings)
+        for chunk in _detection_chunks(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings):
+            n_pred_skipped += chunk.n_skipped
+            pred_samples.extend(tightness.tr_sample(canonical_order(chunk.quads), "prediction", chunk.classes))
     if not gt_samples and not pred_samples:
         raise DataError("no valid samples for TR analysis")
 
     widths = [cfg.bin_width] if cfg.bin_width is not None else [15.0, 5.0]
+    sources = {"ground_truth": gt_samples, "prediction": pred_samples}
     overall_gaps: dict[str, float | None] = {}
     for width in widths:
         tag = format(width, "g")
-        rows: list[dict] = []
-        if gt_samples:
-            rows.extend(tightness.bin_rows(tightness.bin_by_orientation(gt_samples, width), "ground_truth"))
-        if pred_samples:
-            rows.extend(tightness.bin_rows(tightness.bin_by_orientation(pred_samples, width), "prediction"))
+        bins = {source: tightness.bin_by_orientation(samples, width) for source, samples in sources.items() if samples}
+        rows = [row for source, stat_list in bins.items() for row in tightness.bin_rows(stat_list, source)]
         out_bins = cfg.out_dir / f"tr_bins_bw{tag}.{cfg.fmt}"
         write_table(out_bins, tightness.TR_BIN_FIELDS, rows, cfg.fmt)
         report.outputs.append(str(out_bins))
-        if gt_samples and pred_samples:
-            gap_rows, overall = tightness.compare_gt_pred_tr(gt_samples, pred_samples, width)
+        if len(bins) == 2:
+            gap_rows, overall = tightness.gap_rows(bins["ground_truth"], bins["prediction"])
             out_gap = cfg.out_dir / f"tr_gap_bw{tag}.{cfg.fmt}"
             write_table(out_gap, tightness.TR_GAP_FIELDS, gap_rows, cfg.fmt)
             report.outputs.append(str(out_gap))
@@ -456,6 +464,10 @@ def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
     report.counts = {
         "gt_samples": len(gt_samples),
         "pred_samples": len(pred_samples),
+        "ground_truth_parsed": stats["gt_parsed"],
+        "ground_truth_skipped": stats["gt_skipped"],
+        "predictions_parsed": len(pred_samples),
+        "predictions_skipped": n_pred_skipped,
     }
     report.summary = {"overall_mean_abs_gap": overall_gaps}
     report.duration_s = time.perf_counter() - t0
@@ -484,18 +496,7 @@ def run_losscheck(cfg: LossCheckConfig, config_echo: dict | None = None) -> tupl
         "checks_passed": sum(1 for c in checks if c.passed),
         "checks_failed": sum(1 for c in checks if not c.passed),
     }
-    report.summary = {
-        "checks": [
-            {
-                "name": c.name,
-                "expected": c.expected,
-                "actual": c.actual,
-                "tol": c.tol,
-                "passed": c.passed,
-            }
-            for c in checks
-        ]
-    }
+    report.summary = {"checks": [asdict(c) for c in checks]}
     report.duration_s = time.perf_counter() - t0
     if cfg.out_dir is not None:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,7 @@ in [0, 90] degrees with normal-approximation 95% confidence intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -133,18 +133,12 @@ def bin_by_orientation(samples: list[TRSample], bin_width_deg: float = 15.0) -> 
     return stats
 
 
-def compare_gt_pred_tr(
-    gt_samples: list[TRSample],
-    pred_samples: list[TRSample],
-    bin_width_deg: float = 15.0,
-) -> tuple[list[dict], float | None]:
-    """Per-bin GT vs prediction TR means and the overall mean |gap|.
+def gap_rows(gt_bins: list[TRBinStat], pred_bins: list[TRBinStat]) -> tuple[list[dict], float | None]:
+    """Per-bin GT vs prediction TR means of two binnings at one width, and the overall mean |gap|.
 
     Gaps are reported only for bins occupied on both sides; the overall
     figure is None when no bin qualifies.
     """
-    gt_bins = bin_by_orientation(gt_samples, bin_width_deg)
-    pred_bins = bin_by_orientation(pred_samples, bin_width_deg)
     rows: list[dict] = []
     gaps: list[float] = []
     for g, p in zip(gt_bins, pred_bins):
@@ -167,17 +161,15 @@ def compare_gt_pred_tr(
     return rows, overall
 
 
+def compare_gt_pred_tr(
+    gt_samples: list[TRSample],
+    pred_samples: list[TRSample],
+    bin_width_deg: float = 15.0,
+) -> tuple[list[dict], float | None]:
+    """gap_rows of both sample lists binned by orientation."""
+    return gap_rows(bin_by_orientation(gt_samples, bin_width_deg), bin_by_orientation(pred_samples, bin_width_deg))
+
+
 def bin_rows(stats: list[TRBinStat], source: str) -> list[dict]:
-    rows = []
-    for s in stats:
-        rows.append(
-            {
-                "source": source,
-                "bin_lo_deg": s.bin_lo_deg,
-                "bin_hi_deg": s.bin_hi_deg,
-                "n": s.n,
-                "mean_tr": s.mean_tr,
-                "ci95_half_width": s.ci95_half_width,
-            }
-        )
-    return rows
+    """TR_BIN_FIELDS rows of one source's bins."""
+    return [{"source": source, **asdict(s)} for s in stats]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -22,6 +23,13 @@ def detection_line(video_id, frame, cls, quad, conf) -> str:
             "conf": float(conf),
         }
     )
+
+
+def read_table_csv(path: Path) -> tuple[list[str], list[dict[str, str]]]:
+    """Header and rows of a CSV report, cells as text; a file without a header line raises ValueError."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, [dict(zip(header, row)) for row in rows]
 
 
 def make_synthetic_stream(path: Path, n_frames: int, dets_per_frame: int, seed: int = 1234) -> dict:

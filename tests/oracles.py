@@ -310,15 +310,30 @@ def iou_obb_reference(a, b) -> float:
     return min(1.0, inter / union)
 
 
+def rect_iou_reference(a, b) -> float:
+    """Axis-aligned IoU of two RectAAs on Python floats, in geometry.rect_ious' operation order."""
+    from obbkit.errors import GeometryError
+
+    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = (a.x_max - a.x_min) * (a.y_max - a.y_min) + (b.x_max - b.x_min) * (b.y_max - b.y_min) - inter
+    if union <= 0.0:
+        raise GeometryError("IoU undefined: both rectangles have zero area")
+    return min(1.0, inter / union)
+
+
 def match_frame_reference(preds, gts, iou_threshold=0.5, box_mode="obb", audit=None, frame_id=""):
     """The greedy matcher before the enclosing-box prefilter: every same-class pair, one IoU call each."""
     from obbkit.errors import ConfigError
     from obbkit.evaluation import MatchRecord
-    from obbkit.geometry import enclosing_hbb, iou_obb, rect_iou
+    from obbkit.geometry import enclosing_hbb, iou_obb
 
     def _pair_iou(pred, gt, box_mode):
         if box_mode == "hbb":
-            return rect_iou(enclosing_hbb(pred.quad), enclosing_hbb(gt.quad))
+            return rect_iou_reference(enclosing_hbb(pred.quad), enclosing_hbb(gt.quad))
         return iou_obb(pred.quad, gt.quad)
 
     if not 0.0 < iou_threshold < 1.0:

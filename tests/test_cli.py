@@ -7,13 +7,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import detection_line
+from conftest import detection_line, read_table_csv
 from obbkit.cli import main
 from obbkit.errors import ConfigError
-from obbkit.formats import FrameMeta, iter_detections, read_table_csv
+from obbkit.formats import FrameMeta, iter_detections, read_label_file, write_table
 from obbkit.pipeline import EvaluateConfig, FitConfig
 from obbkit.geometry import quad_from_rect
-from obbkit.tightness import tr_rect_closed_form
+from obbkit.tightness import (
+    TR_BIN_FIELDS,
+    TR_GAP_FIELDS,
+    bin_by_orientation,
+    bin_rows,
+    compare_gt_pred_tr,
+    tr_rect_closed_form,
+    tr_sample,
+)
 
 
 def write_meta(path: Path, width=100.0, height=100.0, fps=2.0, frames=4) -> Path:
@@ -213,7 +221,7 @@ class TestAnalyze:
         _, rank_rows = read_table_csv(out / "ranking.csv")
         assert float(rank_rows[0]["exposure_s"]) == float(rows[0]["exposure_s"])
 
-    @pytest.mark.parametrize("flag", [["--top-k", "0"], ["--conf-threshold", "1.5"]])
+    @pytest.mark.parametrize("flag", [["--top-k", "0"], ["--conf-threshold", "1.5"], ["--jobs", "0"], ["--jobs", "-3"]])
     @pytest.mark.parametrize("stream", ["", "toy"])
     def test_invalid_config_exit_1_before_reading(self, toy_analyze, flag, stream, capsys):
         dets, meta, out = toy_analyze
@@ -532,7 +540,93 @@ class TestOneDetectionParser:
         assert analyzed["counts"]["records_accepted"] == evaluated["counts"]["predictions_parsed"] == len(kept)
 
 
+FIT_SIDE = 128.0  # pixel coordinates k / 128 survive the labels' 9-digit normalization exactly
+
+
+def make_fit_tree(tmp_path: Path):
+    """A split and predictions for fit: shuffled vertex orders, 0/45/90-degree boxes, faulty lines.
+
+    Each source holds one malformed line, one degenerate box and one
+    blank line; the labels are spread over three files.
+    """
+    rng = np.random.default_rng(31)
+    split = tmp_path / "data" / "test"
+    (split / "images").mkdir(parents=True)
+    (split / "labels").mkdir(parents=True)
+    on_edges = [  # 45, 0 and 90 degrees, exactly
+        [[50, 40], [60, 50], [50, 60], [40, 50]],
+        [[10, 10], [30, 10], [30, 20], [10, 20]],
+        [[10, 10], [20, 10], [20, 40], [10, 40]],
+    ]
+    boxes = [np.array(q, float) for q in on_edges] + [
+        quad_from_rect(*rng.uniform(30, 98, 2), *rng.uniform(4, 30, 2), rng.uniform(0, 180)) for _ in range(60)
+    ]
+    shuffled = []
+    for quad in boxes:
+        quad = np.roll(quad, rng.integers(4), axis=0)
+        shuffled.append(quad[::-1] if rng.random() < 0.5 else quad)
+    flat = [[10, 10], [20, 10], [30, 10], [40, 10]]
+    labels = [label_line(i % 3, q, FIT_SIDE, FIT_SIDE) for i, q in enumerate(shuffled)]
+    labels[5:5] = ["0 0.1 0.2", "", label_line(1, flat, FIT_SIDE, FIT_SIDE)]
+    for k in range(3):
+        (split / "images" / f"f{k}.jpg").write_bytes(b"")
+        (split / "labels" / f"f{k}.txt").write_text("\n".join(labels[k::3]) + "\n")
+    preds = tmp_path / "preds.jsonl"
+    lines = [detection_line(f"f{i % 3}", 0, i % 3, q, 0.5) for i, q in enumerate(shuffled)]
+    lines[7:7] = ["{not json", "", detection_line("f0", 0, 0, flat, 0.9)]
+    preds.write_text("\n".join(lines) + "\n")
+    return split, preds
+
+
+def fit_argv(split: Path, preds: Path, out: Path, *extra: str) -> list[str]:
+    side = format(FIT_SIDE, "g")
+    return [
+        "fit", "--labels", str(split), "--detections", str(preds),
+        "--width", side, "--height", side, "--out", str(out), *extra,
+    ]  # fmt: skip
+
+
 class TestFit:
+    def test_record_accounting(self, tmp_path, capsys):
+        split, preds = make_fit_tree(tmp_path)
+        assert main(fit_argv(split, preds, tmp_path / "out")) == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        label_lines = [s for p in (split / "labels").iterdir() for s in p.read_text().splitlines() if s.strip()]
+        pred_lines = [s for s in preds.read_text().splitlines() if s.strip()]
+        assert counts["ground_truth_parsed"] + counts["ground_truth_skipped"] == len(label_lines) == 65
+        assert counts["predictions_parsed"] + counts["predictions_skipped"] == len(pred_lines) == 65
+        assert counts["ground_truth_skipped"] == 1 and counts["predictions_skipped"] == 2
+        assert counts["gt_samples"] == counts["ground_truth_parsed"] - 1  # the degenerate label is kept, not sampled
+        assert counts["pred_samples"] == counts["predictions_parsed"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_tables_equal_the_per_object_route(self, tmp_path, capsys, fmt):
+        split, preds = make_fit_tree(tmp_path)
+        out, want = tmp_path / "out", tmp_path / "want"
+        assert main(fit_argv(split, preds, out, "--format", fmt)) == 0
+        gaps = json.loads(capsys.readouterr().out)["summary"]["overall_mean_abs_gap"]
+
+        meta = FrameMeta(width=FIT_SIDE, height=FIT_SIDE)
+        gts = [gt for p in sorted((split / "labels").iterdir()) for gt in read_label_file(p, meta, warnings=[])]
+        with open(preds, encoding="utf-8") as fh:
+            dets = list(iter_detections(fh))
+        gt_samples = [tr_sample(g.quad, "ground_truth", g.class_id) for g in gts if not g.degenerate]
+        pred_samples = [tr_sample(d.quad, "prediction", d.class_id) for d in dets]
+        assert sorted({s.orientation_deg for s in gt_samples} & {0.0, 45.0, 90.0}) == [0.0, 45.0, 90.0]
+        want.mkdir()
+        overall = {}
+        for width in (15.0, 5.0):
+            tag = format(width, "g")
+            rows = bin_rows(bin_by_orientation(gt_samples, width), "ground_truth")
+            rows += bin_rows(bin_by_orientation(pred_samples, width), "prediction")
+            write_table(want / f"tr_bins_bw{tag}.{fmt}", TR_BIN_FIELDS, rows, fmt)
+            gap_rows, overall[tag] = compare_gt_pred_tr(gt_samples, pred_samples, width)
+            write_table(want / f"tr_gap_bw{tag}.{fmt}", TR_GAP_FIELDS, gap_rows, fmt)
+        assert sorted(p.name for p in want.iterdir()) == sorted(p.name for p in out.glob("tr_*"))
+        for path in sorted(want.iterdir()):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        assert gaps == overall
+
     def test_swept_rectangles_match_closed_form(self, tmp_path):
         split = tmp_path / "data" / "test"
         (split / "images").mkdir(parents=True)

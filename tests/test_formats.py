@@ -17,11 +17,10 @@ from obbkit.formats import (
     parse_detection_chunk,
     parse_obb_label_line,
     read_label_file,
-    read_table_csv,
     serialize_obb_label_line,
     write_table,
 )
-from conftest import detection_line
+from conftest import detection_line, read_table_csv
 from oracles import normalize_quad_reference, random_convex_quad, write_table_reference
 from obbkit.geometry import normalize_quad, polygon_area
 from obbkit.geometry import quad_from_rect
@@ -476,6 +475,13 @@ class TestReportTables:
         path = tmp_path / "empty.csv"
         write_table(path, self.FIELDS, [], "csv")
         assert path.read_text() == "brand_id,exposure_s,note\n"
+        assert read_table_csv(path) == (self.FIELDS, [])
+
+    def test_reader_rejects_a_csv_without_header(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("")
+        with pytest.raises(ValueError):
+            read_table_csv(path)
 
     def test_json_rows(self, tmp_path):
         path = tmp_path / "report.json"

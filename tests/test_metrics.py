@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from obbkit.cli import main
 from obbkit.errors import ConfigError
-from obbkit.formats import Detection, FrameMeta, read_table_csv
+from conftest import read_table_csv
+from obbkit.formats import Detection, FrameMeta
 from obbkit.geometry import quad_from_rect
 from obbkit.metrics import (
     BrandMetrics,
