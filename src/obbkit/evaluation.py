@@ -1,23 +1,28 @@
 """Detection evaluation: matching, PR curves, AP/mAP and IoU histograms.
 
-Matching is greedy per class: predictions in descending confidence
-order each claim the unmatched ground-truth box with the highest IoU
-at or above the threshold.  Only pairs whose enclosing axis-aligned
-boxes overlap or touch are compared; every other pair has IoU 0.  AP
-uses all-points interpolation (the continuous precision envelope) by
-default; an 11-point variant is available.  The HBB mode converts both
-sides to their minimum enclosing axis-aligned rectangles before
-matching.
+Matching is greedy per frame and class: predictions in descending
+confidence order each claim the unmatched ground-truth box with the
+highest IoU at or above the threshold.  Only pairs whose enclosing
+axis-aligned boxes overlap or touch are compared; every other pair has
+IoU 0.  AP uses all-points interpolation (the continuous precision
+envelope) by default; an 11-point variant is available.  The HBB mode
+converts both sides to their minimum enclosing axis-aligned rectangles
+before matching.
+
+evaluate_columns matches a whole split's label and prediction columns
+at once; match_frame, evaluate, average_precision and
+iou_threshold_histogram are views of it for record lists.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .formats import Detection, GroundTruth
+from .formats import Detection, GroundTruth, SplitLabels
 from .geometry import enclosing_bounds, iou_obb, rect_ious
 from .geometry import enclosing_hbb  # noqa: F401 - bound for the benchmark's layer tracer
 
@@ -115,6 +120,169 @@ def check_settings(
         raise ConfigError(f"unknown interpolation {interpolation!r}")
 
 
+def _audit_degenerate(audit: MatchAudit, names: list[str], sides) -> None:
+    """Count and note the degenerate rows of ``(frames, flags, what)`` sides, by frame, then side, then row."""
+    notes = []
+    for side, (frames, flags, what) in enumerate(sides):
+        order = np.argsort(frames, kind="stable")
+        positions = np.empty(frames.size, np.int64)  # of each row among the rows of its frame
+        positions[order] = np.arange(frames.size) - np.searchsorted(frames[order], frames[order])
+        rows = zip(frames[flags].tolist(), positions[flags].tolist())
+        notes += [(f, side, i, f"{names[f]}: dropped degenerate {what} #{i}") for f, i in rows]
+    audit.degenerate_ground_truth += int(sides[0][1].sum())
+    audit.degenerate_predictions += int(sides[1][1].sum())
+    audit.notes.extend(note for *_, note in sorted(notes))
+
+
+def _match_split(labels: SplitLabels, video_ids, classes, confs, quads, degenerate, iou_threshold, box_mode, audit):
+    """Join predictions to a split's labels on ``video_id`` and match them greedily.
+
+    Live predictions go in record order: by frame (ranked in the sorted
+    union of stems and prediction ids), descending confidence, then row.
+    Each one's candidates are the live ground truths of its frame and class
+    whose enclosing box overlaps or touches its own, in row order, so the
+    first one with the best IoU wins a tie.  Returns the prediction rows in
+    record order, the ground-truth row each claims (-1 for none) and the
+    best IoU each saw.
+    """
+    names = sorted(set(labels.stems).union(video_ids))
+    rank = dict(zip(names, range(len(names))))
+    gt_frames = np.array([rank[s] for s in labels.stems], np.int64)[labels.frames]
+    pred_frames = np.fromiter(map(rank.__getitem__, video_ids), np.int64, len(video_ids))
+    if audit is not None:
+        sides = ((gt_frames, labels.degenerate, "ground truth"), (pred_frames, degenerate, "prediction"))
+        _audit_degenerate(audit, names, sides)
+    live = np.flatnonzero(~degenerate)
+    order = live[np.lexsort((-confs[live], pred_frames[live]))]
+    n = order.size
+
+    # candidate pairs: the ground truths under each prediction's (frame, class) key, then the bounds prefilter
+    class_ids, class_ranks = np.unique(np.concatenate([classes[order], labels.classes]), return_inverse=True)
+    keys = np.concatenate([pred_frames[order], gt_frames]) * class_ids.size + class_ranks
+    gt_keys = np.where(labels.degenerate, -1, keys[n:])
+    by_key = np.argsort(gt_keys, kind="stable")
+    first = np.searchsorted(gt_keys[by_key], keys[:n], "left")
+    counts = np.searchsorted(gt_keys[by_key], keys[:n], "right") - first
+    pair_pred = np.repeat(np.arange(n), counts)
+    pair_gt = by_key[np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)]
+    pred_quads, gt_quads = quads[order], labels.quads
+    pb, gb = enclosing_bounds(pred_quads)[pair_pred], enclosing_bounds(gt_quads)[pair_gt]
+    near = (pb[:, 0] <= gb[:, 2]) & (gb[:, 0] <= pb[:, 2]) & (pb[:, 1] <= gb[:, 3]) & (gb[:, 1] <= pb[:, 3])
+    hbb_ious = rect_ious(pb[near], gb[near]).tolist() if box_mode == "hbb" else None
+    pair_pred, pair_gt = pair_pred[near], pair_gt[near].tolist()
+    cuts = np.searchsorted(pair_pred, np.arange(n + 1)).tolist()
+
+    claimed, best_ious = [-1] * n, [0.0] * n
+    taken: set[int] = set()
+    for row in np.unique(pair_pred).tolist():
+        quad = pred_quads[row].tolist() if hbb_ious is None else None
+        best_iou, best_gt = 0.0, -1
+        for k in range(cuts[row], cuts[row + 1]):
+            g = pair_gt[k]
+            if g in taken:
+                continue
+            iou = iou_obb(quad, gt_quads[g].tolist()) if hbb_ious is None else hbb_ious[k]
+            if iou > best_iou:
+                best_iou, best_gt = iou, g
+        if best_gt >= 0 and best_iou >= iou_threshold:
+            taken.add(best_gt)
+            claimed[row] = best_gt
+        best_ious[row] = best_iou
+    return order, np.array(claimed, np.int64), np.array(best_ious)
+
+
+def _pr_curve(tp: np.ndarray, total_gt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative precision/recall at every cut point of a confidence-ranked 0/1 TP column."""
+    cum_tp = np.cumsum(tp)
+    cum_fp = np.cumsum(1.0 - tp)
+    recall = cum_tp / total_gt if total_gt > 0 else np.zeros_like(cum_tp)
+    precision = cum_tp / np.maximum(cum_tp + cum_fp, 1e-300)
+    return precision, recall
+
+
+def _ap(tp: np.ndarray, total_gt: int, interpolation: str) -> float:
+    """AP of a confidence-ranked 0/1 TP column with ``total_gt`` ground truths."""
+    if tp.size == 0:
+        return 0.0
+    precision, recall = _pr_curve(tp, total_gt)
+    if interpolation == "all_points":
+        mrec = np.concatenate(([0.0], recall, [1.0]))
+        mpre = np.concatenate(([0.0], precision, [0.0]))
+        mpre = np.maximum.accumulate(mpre[::-1])[::-1]
+        steps = np.flatnonzero(mrec[1:] != mrec[:-1])
+        return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+    if interpolation == "11point":
+        total = 0.0
+        for t in np.linspace(0.0, 1.0, 11):
+            mask = recall >= t - 1e-12
+            total += float(precision[mask].max()) if mask.any() else 0.0
+        return total / 11.0
+    raise ConfigError(f"unknown interpolation {interpolation!r}")
+
+
+def average_precision(
+    records: list[MatchRecord],
+    total_gt: int,
+    interpolation: str = "all_points",
+) -> float | None:
+    """AP of one class; None when the class has no ground truth.
+
+    ``all_points`` integrates the running-max precision envelope over
+    recall; ``11point`` averages the envelope at recalls 0.0..1.0.
+    """
+    if total_gt < 0:
+        raise ConfigError("total_gt must be >= 0")
+    if total_gt == 0:
+        return None
+    ranked = np.argsort(-np.array([r.confidence for r in records], np.float64), kind="stable")
+    return _ap(np.array([r.tp for r in records], np.float64)[ranked], total_gt, interpolation)
+
+
+def _histogram(ious: np.ndarray, thresholds: tuple[float, ...]) -> tuple[dict[float, float], int]:
+    n = ious.size
+    return {t: int((ious >= t).sum()) / n if n > 0 else 0.0 for t in thresholds}, n
+
+
+def iou_threshold_histogram(
+    records: list[MatchRecord],
+    thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS,
+) -> tuple[dict[float, float], int]:
+    """Fraction of matched predictions at or above each IoU threshold."""
+    return _histogram(np.array([r.iou for r in records if r.tp], np.float64), thresholds)
+
+
+def _operating_point(tp: np.ndarray, confs: np.ndarray, total_gt: int, conf_threshold: float | None):
+    """Pooled precision/recall at a fixed or max-F1 confidence cut of a confidence-ranked TP column."""
+    if tp.size == 0:
+        return 0.0, 0.0, 1.0 if conf_threshold is None else conf_threshold
+    precision, recall = _pr_curve(tp, total_gt)
+    if conf_threshold is not None:
+        kept = np.flatnonzero(confs >= conf_threshold)
+        if kept.size == 0:
+            return 0.0, 0.0, conf_threshold
+        k = int(kept[-1])
+        return float(precision[k]), float(recall[k]), conf_threshold
+    f1 = 2.0 * precision * recall / np.maximum(precision + recall, 1e-300)
+    k = int(np.argmax(f1))
+    return float(precision[k]), float(recall[k]), float(confs[k])
+
+
+def _quads(items) -> np.ndarray:
+    return np.array([np.asarray(item.quad, np.float64) for item in items]).reshape(-1, 4, 2)
+
+
+def _columns_of(preds: list[Detection], gts: list[GroundTruth], frame_id: str | None = None) -> tuple:
+    """SplitLabels of GroundTruths and ``video_ids, classes, confs, quads, degenerate`` of Detections, all in ``frame_id`` if given."""
+    stems = sorted({g.frame_id for g in gts}) if frame_id is None else [frame_id]
+    index = {stem: i for i, stem in enumerate(stems)}
+    frames = [index[g.frame_id] for g in gts] if frame_id is None else [0] * len(gts)
+    gt_columns = (np.array([g.class_id for g in gts], np.int64), _quads(gts), np.array([g.degenerate for g in gts], bool))
+    labels = SplitLabels(stems, np.array(frames, np.int64), *gt_columns)
+    video_ids = [p.video_id if frame_id is None else frame_id for p in preds]
+    classes, confs = np.array([p.class_id for p in preds], np.int64), np.array([p.confidence for p in preds], np.float64)
+    return labels, (video_ids, classes, confs, _quads(preds), np.array([p.degenerate for p in preds], bool))
+
+
 def match_frame(
     preds: list[Detection],
     gts: list[GroundTruth],
@@ -132,151 +300,44 @@ def match_frame(
     any other pair has IoU 0.
     """
     check_settings(iou_threshold, box_mode)
-
-    live_gts: list[tuple[int, GroundTruth]] = []
-    for i, gt in enumerate(gts):
-        if gt.degenerate:
-            if audit is not None:
-                audit.degenerate_ground_truth += 1
-                audit.notes.append(f"{frame_id}: dropped degenerate ground truth #{i}")
-            continue
-        live_gts.append((i, gt))
-
-    order = []
-    for i, pred in enumerate(preds):
-        if pred.degenerate:
-            if audit is not None:
-                audit.degenerate_predictions += 1
-                audit.notes.append(f"{frame_id}: dropped degenerate prediction #{i}")
-            continue
-        order.append(i)
-    order.sort(key=lambda i: (-preds[i].confidence, i))
-
-    # candidates[row]: positions in live_gts, ascending, of the same-class
-    # ground truths whose enclosing box overlaps or touches prediction order[row]'s;
-    # ascending, so the first ground truth with the best IoU still wins a tie
-    candidates: list[list[int]] = [[] for _ in order]
-    if order and live_gts:
-        pq = np.stack([preds[i].quad for i in order])
-        gq = np.stack([gt.quad for _, gt in live_gts])
-        pb, gb = enclosing_bounds(pq), enclosing_bounds(gq)
-        pred_classes = np.array([preds[i].class_id for i in order])
-        same_class = pred_classes[:, None] == np.array([gt.class_id for _, gt in live_gts])
-        overlap = (
-            (pb[:, None, 0] <= gb[:, 2])
-            & (gb[:, 0] <= pb[:, None, 2])
-            & (pb[:, None, 1] <= gb[:, 3])
-            & (gb[:, 1] <= pb[:, None, 3])
-        )
-        rows, cols = np.nonzero(same_class & overlap)
-        for row, k in zip(rows.tolist(), cols.tolist()):
-            candidates[row].append(k)
-        if box_mode == "hbb":
-            hbb_ious = rect_ious(pb, gb).tolist()
-        else:
-            pred_quads, gt_quads = pq.tolist(), gq.tolist()
-
-    taken: set[int] = set()
-    records: list[MatchRecord] = []
-    for row, i in enumerate(order):
-        pred = preds[i]
-        best_iou = 0.0
-        best_gt: int | None = None
-        for k in candidates[row]:
-            gt_idx = live_gts[k][0]
-            if gt_idx in taken:
-                continue
-            iou = hbb_ious[row][k] if box_mode == "hbb" else iou_obb(pred_quads[row], gt_quads[k])
-            if iou > best_iou:
-                best_iou = iou
-                best_gt = gt_idx
-        if best_gt is not None and best_iou >= iou_threshold:
-            taken.add(best_gt)
-            records.append(
-                MatchRecord(frame_id, i, best_gt, best_iou, True, pred.class_id, pred.confidence)
-            )
-        else:
-            records.append(
-                MatchRecord(frame_id, i, None, best_iou, False, pred.class_id, pred.confidence)
-            )
-    return records
+    labels, columns = _columns_of(preds, gts, frame_id)
+    order, claimed, ious = _match_split(labels, *columns, iou_threshold, box_mode, audit)
+    return [
+        MatchRecord(frame_id, i, g if g >= 0 else None, iou, g >= 0, preds[i].class_id, preds[i].confidence)
+        for i, g, iou in zip(order.tolist(), claimed.tolist(), ious.tolist())
+    ]
 
 
-def _pr_curve(records: list[MatchRecord], total_gt: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative precision/recall at every confidence cut point."""
-    ordered = sorted(enumerate(records), key=lambda item: (-item[1].confidence, item[0]))
-    tp = np.array([1.0 if r.tp else 0.0 for _, r in ordered])
-    conf = np.array([r.confidence for _, r in ordered])
-    cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(1.0 - tp)
-    recall = cum_tp / total_gt if total_gt > 0 else np.zeros_like(cum_tp)
-    precision = cum_tp / np.maximum(cum_tp + cum_fp, 1e-300)
-    return precision, recall, conf
+def evaluate_columns(
+    labels: SplitLabels, video_ids: list[str], classes, confs, quads: np.ndarray, degenerate: np.ndarray | None = None,
+    iou_threshold: float = 0.5, box_mode: str = "obb", conf_threshold: float | None = None,
+    interpolation: str = "all_points", audit: MatchAudit | None = None,
+) -> EvalResult:  # fmt: skip
+    """Match a split's labels against prediction columns and reduce to the headline scores.
 
-
-def average_precision(
-    records: list[MatchRecord],
-    total_gt: int,
-    interpolation: str = "all_points",
-) -> float | None:
-    """AP of one class; None when the class has no ground truth.
-
-    ``all_points`` integrates the running-max precision envelope over
-    recall; ``11point`` averages the envelope at recalls 0.0..1.0.
+    Prediction ``i`` lies in the frame named ``video_ids[i]``; one whose id
+    is no stem of the split has no ground truth, so it is a false
+    positive.  ``degenerate`` flags predictions to drop (audited).  mAP
+    averages per-class AP over the classes of the live labels, summed in
+    the order in which they first appear; P/R are pooled over classes at
+    the operating point.
     """
-    if total_gt < 0:
-        raise ConfigError("total_gt must be >= 0")
+    gt_per_class = Counter(labels.classes[~labels.degenerate].tolist())
+    total_gt = sum(gt_per_class.values())
     if total_gt == 0:
-        return None
-    if not records:
-        return 0.0
-    precision, recall, _ = _pr_curve(records, total_gt)
-    if interpolation == "all_points":
-        mrec = np.concatenate(([0.0], recall, [1.0]))
-        mpre = np.concatenate(([0.0], precision, [0.0]))
-        mpre = np.maximum.accumulate(mpre[::-1])[::-1]
-        steps = np.flatnonzero(mrec[1:] != mrec[:-1])
-        return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
-    if interpolation == "11point":
-        total = 0.0
-        for t in np.linspace(0.0, 1.0, 11):
-            mask = recall >= t - 1e-12
-            total += float(precision[mask].max()) if mask.any() else 0.0
-        return total / 11.0
-    raise ConfigError(f"unknown interpolation {interpolation!r}")
-
-
-def iou_threshold_histogram(
-    records: list[MatchRecord],
-    thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS,
-) -> tuple[dict[float, float], int]:
-    """Fraction of matched predictions at or above each IoU threshold."""
-    ious = [r.iou for r in records if r.tp]
-    n = len(ious)
-    hist: dict[float, float] = {}
-    for t in thresholds:
-        hist[t] = (sum(1 for v in ious if v >= t) / n) if n > 0 else 0.0
-    return hist, n
-
-
-def _operating_point(
-    records: list[MatchRecord],
-    total_gt: int,
-    conf_threshold: float | None,
-) -> tuple[float, float, float]:
-    """Pooled precision/recall at a fixed or max-F1 confidence cut."""
-    if not records:
-        return 0.0, 0.0, 1.0 if conf_threshold is None else conf_threshold
-    precision, recall, conf = _pr_curve(records, total_gt)
-    if conf_threshold is not None:
-        kept = np.flatnonzero(conf >= conf_threshold)
-        if kept.size == 0:
-            return 0.0, 0.0, conf_threshold
-        k = int(kept[-1])
-        return float(precision[k]), float(recall[k]), conf_threshold
-    f1 = 2.0 * precision * recall / np.maximum(precision + recall, 1e-300)
-    k = int(np.argmax(f1))
-    return float(precision[k]), float(recall[k]), float(conf[k])
+        raise DataError("evaluation requires at least one ground-truth instance")
+    check_settings(iou_threshold, box_mode)
+    classes, confs = np.asarray(classes, np.int64), np.asarray(confs, np.float64)
+    degenerate = np.zeros(len(video_ids), bool) if degenerate is None else degenerate
+    order, claimed, ious = _match_split(labels, video_ids, classes, confs, quads, degenerate, iou_threshold, box_mode, audit)
+    tp = claimed >= 0
+    by_conf = np.argsort(-confs[order], kind="stable")  # descending confidence, then record order
+    ranked, ranked_tp = order[by_conf], tp[by_conf].astype(np.float64)
+    per_class_ap = {cid: _ap(ranked_tp[classes[ranked] == cid], n_gt, interpolation) for cid, n_gt in gt_per_class.items()}
+    precision, recall, op_conf = _operating_point(ranked_tp, confs[ranked], total_gt, conf_threshold)
+    hist, n_matched = _histogram(ious[tp], DEFAULT_IOU_THRESHOLDS)
+    map50 = sum(per_class_ap.values()) / len(per_class_ap)
+    return EvalResult(per_class_ap, map50, precision, recall, op_conf, hist, n_matched, order.size, total_gt, iou_threshold, box_mode)
 
 
 def evaluate(
@@ -295,56 +356,5 @@ def evaluate(
     with at least one (non-degenerate) ground-truth instance; P/R are
     pooled over classes at the operating point.
     """
-    gts_by_frame: dict[str, list[GroundTruth]] = {}
-    for gt in gts:
-        gts_by_frame.setdefault(gt.frame_id, []).append(gt)
-    preds_by_frame: dict[str, list[Detection]] = {}
-    for pred in preds:
-        preds_by_frame.setdefault(pred.video_id, []).append(pred)
-
-    gt_per_class: dict[int, int] = {}
-    for gt in gts:
-        if not gt.degenerate:
-            gt_per_class[gt.class_id] = gt_per_class.get(gt.class_id, 0) + 1
-    total_gt = sum(gt_per_class.values())
-    if total_gt == 0:
-        raise DataError("evaluation requires at least one ground-truth instance")
-
-    records: list[MatchRecord] = []
-    for frame_id in sorted(set(gts_by_frame) | set(preds_by_frame)):
-        records.extend(
-            match_frame(
-                preds_by_frame.get(frame_id, []),
-                gts_by_frame.get(frame_id, []),
-                iou_threshold,
-                box_mode,
-                audit,
-                frame_id,
-            )
-        )
-
-    per_class_records: dict[int, list[MatchRecord]] = {}
-    for rec in records:
-        per_class_records.setdefault(rec.class_id, []).append(rec)
-    per_class_ap: dict[int, float] = {}
-    for cid, n_gt in gt_per_class.items():
-        ap = average_precision(per_class_records.get(cid, []), n_gt, interpolation)
-        per_class_ap[cid] = ap if ap is not None else 0.0
-    map50 = sum(per_class_ap.values()) / len(per_class_ap)
-
-    precision, recall, op_conf = _operating_point(records, total_gt, conf_threshold)
-    hist, n_matched = iou_threshold_histogram(records)
-    return EvalResult(
-        per_class_ap=per_class_ap,
-        map50=map50,
-        precision=precision,
-        recall=recall,
-        operating_confidence=op_conf,
-        iou_histogram=hist,
-        n_matched=n_matched,
-        n_predictions=len(records),
-        n_ground_truth=total_gt,
-        iou_threshold=iou_threshold,
-        box_mode=box_mode,
-    )
-
+    labels, columns = _columns_of(preds, gts)
+    return evaluate_columns(labels, *columns, iou_threshold, box_mode, conf_threshold, interpolation, audit)

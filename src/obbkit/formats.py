@@ -35,6 +35,8 @@ from .geometry import normalize_quad  # noqa: F401 - bound for the benchmark's l
 
 COORD_TOL = 1e-6  # slack for normalized label coordinates at the frame edge
 
+MAX_PIXEL = 1e9  # bound on pixel coordinates and frame sides: IoU and area arithmetic stay far from overflow
+
 INT64_MAX = 2**63 - 1  # frame indices and class ids end up in int64 arrays
 
 IMAGE_EXTENSIONS = (".jpg", ".jpeg", ".png", ".bmp", ".tif", ".tiff", ".webp")
@@ -53,6 +55,8 @@ class FrameMeta:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ConfigError(f"frame dimensions must be positive, got {self.width}x{self.height}")
+        if not (self.width <= MAX_PIXEL and self.height <= MAX_PIXEL):
+            raise ConfigError(f"frame dimensions must be at most {MAX_PIXEL:g} px, got {self.width}x{self.height}")
         if self.fps <= 0:
             raise ConfigError(f"frame rate must be positive, got {self.fps}")
         if self.frame_count < 0:
@@ -182,44 +186,96 @@ def _label_values(fields: list[str], n_classes: int | None) -> tuple[int, list[f
     return class_id, coords
 
 
-def _parse_label_lines(
-    lines: Iterable[str],
-    first_line_no: int,
-    meta: FrameMeta,
-    n_classes: int | None,
-    frame_id: str,
-) -> tuple[list[GroundTruth], list[int], list[tuple[int, str]]]:
-    """Parse label lines; blank lines are not records.
+@dataclass
+class SplitLabels:
+    """The labels of a dataset split as columns, in frame then line order.
 
-    Returns the ground truths, the line number of each, and
-    ``(line number, reason)`` of every malformed line, in line order.
-    The quads of all lines are canonicalized and flagged with one
-    ``canonical_order`` and one ``degenerate_mask`` call.
+    ``stems`` are the split's sorted frame ids, empty frames included.
+    Label ``i`` lies in frame ``stems[frames[i]]``, on line ``line_nos[i]``
+    of its file, with its pixel quad in canonical vertex order.
+    Degenerate labels are kept and flagged; ``n_skipped`` malformed lines
+    are not.
     """
-    class_ids: list[int] = []
-    coords: list[float] = []
-    line_nos: list[int] = []
-    faults: list[tuple[int, str]] = []
-    for line_no, line in enumerate(lines, start=first_line_no):
-        fields = line.split()
-        if not fields:
-            continue
-        try:
-            class_id, values = _label_values(fields, n_classes)
-        except DataError as exc:
-            faults.append((line_no, str(exc)))
-            continue
-        class_ids.append(class_id)
-        coords.extend(values)
-        line_nos.append(line_no)
+
+    stems: list[str]
+    frames: np.ndarray
+    classes: np.ndarray
+    quads: np.ndarray
+    degenerate: np.ndarray
+    line_nos: np.ndarray | None = None  # None for labels that come from no file
+    n_skipped: int = 0
+
+    def ground_truths(self) -> list[GroundTruth]:
+        """The labels as GroundTruth records."""
+        rows = zip(self.frames.tolist(), self.classes.tolist(), self.quads, self.degenerate.tolist())
+        return [GroundTruth(self.stems[f], c, quad, flag) for f, c, quad, flag in rows]
+
+
+def _label_columns(sources, stems: list[str], meta: FrameMeta, n_classes: int | None, strict: bool):
+    """SplitLabels of ``(frame index, lines)`` sources, and ``(frame index, line number, reason)`` of each malformed line.
+
+    Blank lines are not records.  With ``strict``, reading stops after the
+    first source holding a malformed line.  One ``canonical_order`` and one
+    ``degenerate_mask`` call cover the quads of all sources.
+    """
+    frames, class_ids, coords, line_nos, faults = [], [], [], [], []
+    for frame, lines in sources:
+        for line_no, line in enumerate(lines, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            try:
+                class_id, values = _label_values(fields, n_classes)
+            except DataError as exc:
+                faults.append((frame, line_no, str(exc)))
+                continue
+            frames.append(frame)
+            class_ids.append(class_id)
+            coords.extend(values)
+            line_nos.append(line_no)
+        if strict and faults:
+            break
     raw = np.array(coords).reshape(-1, 4, 2) * (meta.width, meta.height)
-    quads = canonical_order(raw)
-    flags = degenerate_mask(raw).tolist()
-    gts = [
-        GroundTruth(frame_id=frame_id, class_id=class_id, quad=quad, degenerate=flag)
-        for class_id, quad, flag in zip(class_ids, quads, flags)
-    ]
-    return gts, line_nos, faults
+    columns = (np.array(frames, np.int64), np.array(class_ids, np.int64), canonical_order(raw), degenerate_mask(raw))
+    return SplitLabels(stems, *columns, np.array(line_nos, np.int64), len(faults)), faults
+
+
+def _file_lines(path: Path) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        return fh.readlines()
+
+
+def _read_labels(stems: list[str], files: list[tuple[int, Path]], meta, n_classes, strict, warnings) -> SplitLabels:
+    """SplitLabels of ``(frame index, path)`` label files in frame order, with read_label_file's warnings and errors."""
+    labels, faults = _label_columns(((frame, _file_lines(path)) for frame, path in files), stems, meta, n_classes, strict)
+    paths = dict(files)
+    if strict and faults:
+        frame, line_no, reason = faults[0]
+        raise ParseError(f"{paths[frame]}: line {line_no}: {reason}")
+    flagged = labels.degenerate
+    notes = [(frame, line_no, f"skipped: {reason}") for frame, line_no, reason in faults]
+    notes += [(f, n, "degenerate quad flagged") for f, n in zip(labels.frames[flagged].tolist(), labels.line_nos[flagged].tolist())]
+    if warnings is not None:
+        warnings.extend(f"{paths[f]}:{line_no}: {note}" for f, line_no, note in sorted(notes))
+    return labels
+
+
+def read_split_labels(
+    split_dir: str | Path,
+    meta: FrameMeta,
+    n_classes: int | None = None,
+    strict: bool = False,
+    warnings: list[str] | None = None,
+) -> SplitLabels:
+    """Read every label file of a split directory (``images/`` and ``labels/``) into one SplitLabels.
+
+    Warnings and strict-mode errors are those of load_split, then of
+    read_label_file on each label file in stem order.
+    """
+    split_dir = Path(split_dir)
+    pairs = load_split(split_dir.parent, split_dir.name, strict=strict, warnings=warnings)
+    files = [(frame, pair.label_path) for frame, pair in enumerate(pairs) if pair.label_path is not None]
+    return _read_labels([pair.stem for pair in pairs], files, meta, n_classes, strict, warnings)
 
 
 def parse_obb_label_line(
@@ -235,12 +291,10 @@ def parse_obb_label_line(
     coordinates outside [0, 1] (beyond COORD_TOL) and unknown class
     ids.  Degenerate quads are accepted but flagged.
     """
-    gts, _, faults = _parse_label_lines([line], 1, meta, n_classes, frame_id)
-    if faults:
-        raise ParseError(faults[0][1], line_no)
-    if not gts:
-        raise ParseError("expected 9 fields, got 0", line_no)
-    return gts[0]
+    labels, faults = _label_columns([(0, [line])], [frame_id], meta, n_classes, strict=True)
+    if faults or not labels.classes.size:
+        raise ParseError(faults[0][2] if faults else "expected 9 fields, got 0", line_no)
+    return labels.ground_truths()[0]
 
 
 def serialize_obb_label_line(gt: GroundTruth, meta: FrameMeta) -> str:
@@ -266,18 +320,10 @@ def read_label_file(
     kept, flagged and reported.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        gts, line_nos, faults = _parse_label_lines(fh, 1, meta, n_classes, path.stem)
-    if strict and faults:
-        line_no, reason = faults[0]
-        raise ParseError(f"{path}: line {line_no}: {reason}")
+    labels = _read_labels([path.stem], [(0, path)], meta, n_classes, strict, warnings)
     if stats is not None:
-        stats["skipped"] = stats.get("skipped", 0) + len(faults)
-    if warnings is not None:
-        notes = [(line_no, f"skipped: {reason}") for line_no, reason in faults]
-        notes += [(line_no, "degenerate quad flagged") for line_no, gt in zip(line_nos, gts) if gt.degenerate]
-        warnings.extend(f"{path}:{line_no}: {note}" for line_no, note in sorted(notes))
-    return gts
+        stats["skipped"] = stats.get("skipped", 0) + labels.n_skipped
+    return labels.ground_truths()
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +383,8 @@ def validate_detection_obj(
             for v in pt:
                 if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
                     raise DataError(f"non-finite or non-numeric coordinate {v!r}")
+                if abs(v) > MAX_PIXEL:
+                    raise DataError(f"coordinate {v!r} beyond the {MAX_PIXEL:g} px bound")
     except OverflowError:
         raise DataError("coordinate too large for a float") from None
     conf = obj["conf"]
@@ -509,7 +557,7 @@ def _check_columns(values: list, class_map: ClassMap | None, meta: FrameMeta | N
     coords = _coordinates(polys, flag)
     frame_arr, class_arr, conf_arr = _int_cells(frames), _int_cells(classes), np.array(confs)
     flag |= (frame_arr < 0) | (class_arr < 0) | ~((conf_arr >= 0.0) & (conf_arr <= 1.0))
-    flag |= ~np.isfinite(coords).all(axis=1)
+    flag |= ~(np.abs(coords) <= MAX_PIXEL).all(axis=1)  # NaN and inf too
     if meta is not None and meta.frame_count > 0:
         flag |= frame_arr >= meta.frame_count
     if class_map is not None:
@@ -620,7 +668,8 @@ def line_ranges(path: str | Path, n_lines: int) -> Iterator[tuple[int, int, int]
 def _text_lines(path: str | Path, offset: int, n_lines: int, errors: str) -> list[str]:
     with open(path, "rb") as raw:
         raw.seek(offset)
-        return list(islice(io.TextIOWrapper(raw, encoding="utf-8", errors=errors), n_lines))
+        with io.TextIOWrapper(raw, encoding="utf-8", errors=errors) as text:
+            return list(islice(text, n_lines))
 
 
 def read_detection_range(path: str | Path, offset: int, n_lines: int, first_line_no: int, *args) -> DetectionChunk:

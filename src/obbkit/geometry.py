@@ -289,12 +289,12 @@ def enclosing_bounds(quads: np.ndarray) -> np.ndarray:
 
 
 def rect_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, m) axis-aligned IoUs between (n, 4) and (m, 4) enclosing_bounds rows."""
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    """Axis-aligned IoUs of enclosing_bounds rows ``(..., 4)``, broadcast: ``a[:, None]``, ``b[None]`` for every pair."""
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     hit = (iw > 0.0) & (ih > 0.0)
     inter = iw * ih
-    union = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]))[:, None] + ((b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]))[None, :] - inter
+    union = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1]) + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter
     if (hit & (union <= 0.0)).any():
         raise GeometryError("IoU undefined: both rectangles have zero area")
     return np.where(hit, np.minimum(1.0, inter / np.where(hit, union, 1.0)), 0.0)

@@ -17,7 +17,6 @@ import logging
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -25,19 +24,8 @@ import numpy as np
 
 from . import evaluation, metrics, tightness
 from .errors import ConfigError, DataError
-from .formats import (
-    ClassMap,
-    Detection,
-    FrameMeta,
-    GroundTruth,
-    line_ranges,
-    load_split,
-    read_detection_range,
-    read_label_file,
-    write_json_report,
-    write_table,
-)
-from .formats import iter_detections, validate_detection_obj  # noqa: F401 - bound for the benchmark's layer tracer
+from .formats import ClassMap, FrameMeta, line_ranges, read_detection_range, read_split_labels, write_json_report, write_table
+from .formats import iter_detections, read_label_file, validate_detection_obj  # noqa: F401 - bound for the benchmark's layer tracer
 from .geometry import RectAA, canonical_order, clip_areas_to_rect
 from .geometry import degenerate_mask  # noqa: F401 - bound for the benchmark's layer tracer
 from .losses import LossParams, run_loss_checks
@@ -76,6 +64,8 @@ def _map_ordered(worker, tasks, jobs: int):
         for task in tasks:
             yield worker(task)
         return
+    from concurrent.futures import ProcessPoolExecutor  # here, so single-process runs never load multiprocessing
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         window = 2 * jobs
         pending: deque = deque()
@@ -264,33 +254,6 @@ class EvaluateConfig:
 UNMATCHED_SAMPLES = 5  # prediction video ids named in the unmatched-frame warning
 
 
-def load_ground_truth(
-    labels_dir: Path,
-    meta: FrameMeta,
-    n_classes: int | None,
-    strict: bool,
-    warnings: list[str],
-    stats: dict | None = None,
-) -> tuple[list[GroundTruth], set[str]]:
-    """Read every label file of a split directory into pixel-space records.
-
-    Returns the records and the frame ids of the split: the stems of
-    its images and label files, empty frames included.
-    """
-    pairs = load_split(labels_dir.parent, labels_dir.name, strict=strict, warnings=warnings)
-    gts: list[GroundTruth] = []
-    file_stats = {"skipped": 0}
-    for pair in pairs:
-        if pair.label_path is not None:
-            gts.extend(
-                read_label_file(pair.label_path, meta, n_classes, strict=strict, warnings=warnings, stats=file_stats)
-            )
-    if stats is not None:
-        stats["gt_parsed"] = len(gts)
-        stats["gt_skipped"] = file_stats["skipped"]
-    return gts, {pair.stem for pair in pairs}
-
-
 def _detection_chunks(path: Path, class_map: ClassMap | None, meta: FrameMeta | None, strict: bool, warnings: list):
     """The DetectionChunks of a detections file, CHUNK_LINES lines each, read in order; collects their warnings."""
     for span in line_ranges(path, CHUNK_LINES):
@@ -299,54 +262,43 @@ def _detection_chunks(path: Path, class_map: ClassMap | None, meta: FrameMeta | 
         yield chunk
 
 
-def load_predictions(
-    path: Path,
-    class_map: ClassMap | None,
-    meta: FrameMeta | None,
-    strict: bool,
-    warnings: list[str],
-) -> tuple[list[Detection], int]:
-    """Read a detections file; returns (records, skipped count)."""
-    dets: list[Detection] = []
-    n_skipped = 0
-    for chunk in _detection_chunks(path, class_map, meta, strict, warnings):
-        n_skipped += chunk.n_skipped
-        dets.extend(chunk.detections())
-    return dets, n_skipped
-
-
 def run_evaluate(cfg: EvaluateConfig, config_echo: dict | None = None) -> RunReport:
-    """Split ground truth + predictions -> AP/mAP/PR/IoU-histogram report."""
+    """Split ground truth + predictions -> AP/mAP/PR/IoU-histogram report.
+
+    The split's labels are read once into columns, and so are the
+    predictions, chunk by chunk, with their quads in canonical order.
+    """
     t0 = time.perf_counter()
     report = RunReport(command="evaluate", config=config_echo or {})
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    stats: dict = {}
     n_classes = len(cfg.class_map) if cfg.class_map else None
-    gts, frame_ids = load_ground_truth(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings, stats)
-    if not gts:
+    labels = read_split_labels(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings)
+    if not labels.classes.size:
         raise DataError(f"no ground-truth instances under {cfg.labels_dir}")
-    preds, n_pred_skipped = load_predictions(
-        cfg.detections, cfg.class_map, None, cfg.strict, report.warnings
-    )
-    unmatched = [p.video_id for p in preds if p.video_id not in frame_ids]
-    if unmatched:
-        named = ", ".join(repr(v) for v in list(dict.fromkeys(unmatched))[:UNMATCHED_SAMPLES])
+    chunks = list(_detection_chunks(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings))
+    video_ids = [v for c in chunks for v in c.video_ids]
+    classes = [k for c in chunks for k in c.classes]
+    confs = [x for c in chunks for x in c.confs]
+    quads = np.concatenate([np.zeros((0, 4, 2)), *(canonical_order(c.quads) for c in chunks)])
+    stems = set(labels.stems)
+    n_unmatched, named = 0, []  # named: the first UNMATCHED_SAMPLES distinct unmatched ids, in line order
+    for video_id in video_ids:
+        if video_id not in stems:
+            n_unmatched += 1
+            if len(named) < UNMATCHED_SAMPLES and video_id not in named:
+                named.append(video_id)
+    if n_unmatched:
         if cfg.strict:
-            raise DataError(f"prediction video_id {unmatched[0]!r} matches no frame under {cfg.labels_dir}")
+            raise DataError(f"prediction video_id {named[0]!r} matches no frame under {cfg.labels_dir}")
         report.warnings.append(
-            f"{len(unmatched)} predictions match no frame (video_id is not a label stem), "
-            f"counted as false positives: {named}"
+            f"{n_unmatched} predictions match no frame (video_id is not a label stem), "
+            f"counted as false positives: {', '.join(map(repr, named))}"
         )
 
     audit = evaluation.MatchAudit()
-    result = evaluation.evaluate(
-        preds,
-        gts,
-        iou_threshold=cfg.iou_threshold,
-        box_mode=cfg.box_mode,
-        conf_threshold=cfg.conf_threshold,
-        interpolation=cfg.interpolation,
-        audit=audit,
+    result = evaluation.evaluate_columns(
+        labels, video_ids, classes, confs, quads, iou_threshold=cfg.iou_threshold, box_mode=cfg.box_mode,
+        conf_threshold=cfg.conf_threshold, interpolation=cfg.interpolation, audit=audit,
     )
     report.warnings.extend(audit.notes)
 
@@ -359,11 +311,11 @@ def run_evaluate(cfg: EvaluateConfig, config_echo: dict | None = None) -> RunRep
         write_table(out_path, evaluation.EVAL_TABLE_FIELDS, result.to_rows(), "csv")
     report.outputs = [str(out_path)]
     report.counts = {
-        "ground_truth_parsed": stats.get("gt_parsed", 0),
-        "ground_truth_skipped": stats.get("gt_skipped", 0),
-        "predictions_parsed": len(preds),
-        "predictions_skipped": n_pred_skipped,
-        "predictions_unmatched_frame": len(unmatched),
+        "ground_truth_parsed": int(labels.classes.size),
+        "ground_truth_skipped": labels.n_skipped,
+        "predictions_parsed": len(video_ids),
+        "predictions_skipped": sum(c.n_skipped for c in chunks),
+        "predictions_unmatched_frame": n_unmatched,
         "predictions_evaluated": result.n_predictions,
         "ground_truth_evaluated": result.n_ground_truth,
     }
@@ -402,41 +354,28 @@ class FitConfig:
             tightness.check_bin_width(self.bin_width)
 
 
-def _tr_samples(gts: list[GroundTruth], warnings: list[str]) -> list[tightness.TRSample]:
-    """TR samples of GroundTruths, one batch call per CHUNK_LINES boxes.
-
-    Degenerate ground truths are left out with a warning.  Blocks bound
-    the batch kernels' temporaries: one call over 20k boxes raised fit's
-    peak RSS by about 5 MiB.
-    """
-    kept = []
-    for gt in gts:
-        if gt.degenerate:
-            warnings.append(f"{gt.frame_id}: degenerate ground truth excluded from TR analysis")
-        else:
-            kept.append(gt)
-    out = []
-    for i in range(0, len(kept), CHUNK_LINES):
-        part = kept[i : i + CHUNK_LINES]
-        quads = np.array([g.quad for g in part]).reshape(-1, 4, 2)
-        out.extend(tightness.tr_sample(quads, "ground_truth", [g.class_id for g in part]))
-    return out
-
-
 def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
     """Tightness-ratio vs orientation tables for labels and/or predictions."""
     t0 = time.perf_counter()
     report = RunReport(command="fit", config=config_echo or {})
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
-    stats = {"gt_parsed": 0, "gt_skipped": 0}
     gt_samples: list[tightness.TRSample] = []
     pred_samples: list[tightness.TRSample] = []
-    n_pred_skipped = 0
+    n_gt_parsed = n_gt_skipped = n_pred_skipped = 0
     n_classes = len(cfg.class_map) if cfg.class_map else None
     if cfg.labels_dir is not None:
-        gts, _ = load_ground_truth(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings, stats)
-        gt_samples = _tr_samples(gts, report.warnings)
+        labels = read_split_labels(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings)
+        n_gt_parsed, n_gt_skipped = int(labels.classes.size), labels.n_skipped
+        report.warnings.extend(
+            f"{labels.stems[f]}: degenerate ground truth excluded from TR analysis"
+            for f in labels.frames[labels.degenerate].tolist()
+        )
+        live = ~labels.degenerate
+        quads, classes = labels.quads[live], labels.classes[live].tolist()
+        # blocks bound the batch kernels' temporaries: one call over 20k boxes raised peak RSS by about 5 MiB
+        for i in range(0, len(classes), CHUNK_LINES):
+            gt_samples.extend(tightness.tr_sample(quads[i : i + CHUNK_LINES], "ground_truth", classes[i : i + CHUNK_LINES]))
     if cfg.detections is not None:
         for chunk in _detection_chunks(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings):
             n_pred_skipped += chunk.n_skipped
@@ -464,8 +403,8 @@ def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
     report.counts = {
         "gt_samples": len(gt_samples),
         "pred_samples": len(pred_samples),
-        "ground_truth_parsed": stats["gt_parsed"],
-        "ground_truth_skipped": stats["gt_skipped"],
+        "ground_truth_parsed": n_gt_parsed,
+        "ground_truth_skipped": n_gt_skipped,
         "predictions_parsed": len(pred_samples),
         "predictions_skipped": n_pred_skipped,
     }

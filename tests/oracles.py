@@ -385,6 +385,166 @@ def match_frame_reference(preds, gts, iou_threshold=0.5, box_mode="obb", audit=N
     return records
 
 
+def _pr_curve_reference(records, total_gt):
+    """Cumulative precision/recall at every confidence cut point of MatchRecords."""
+    ordered = sorted(enumerate(records), key=lambda item: (-item[1].confidence, item[0]))
+    tp = np.array([1.0 if r.tp else 0.0 for _, r in ordered])
+    conf = np.array([r.confidence for _, r in ordered])
+    cum_tp = np.cumsum(tp)
+    cum_fp = np.cumsum(1.0 - tp)
+    recall = cum_tp / total_gt if total_gt > 0 else np.zeros_like(cum_tp)
+    precision = cum_tp / np.maximum(cum_tp + cum_fp, 1e-300)
+    return precision, recall, conf
+
+
+def average_precision_reference(records, total_gt, interpolation="all_points"):
+    """AP of one class's MatchRecords: the running-max precision envelope, all points or 11 points."""
+    from obbkit.errors import ConfigError
+
+    if not records:
+        return 0.0
+    precision, recall, _ = _pr_curve_reference(records, total_gt)
+    if interpolation == "all_points":
+        mrec = np.concatenate(([0.0], recall, [1.0]))
+        mpre = np.concatenate(([0.0], precision, [0.0]))
+        mpre = np.maximum.accumulate(mpre[::-1])[::-1]
+        steps = np.flatnonzero(mrec[1:] != mrec[:-1])
+        return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+    if interpolation == "11point":
+        total = 0.0
+        for t in np.linspace(0.0, 1.0, 11):
+            mask = recall >= t - 1e-12
+            total += float(precision[mask].max()) if mask.any() else 0.0
+        return total / 11.0
+    raise ConfigError(f"unknown interpolation {interpolation!r}")
+
+
+def evaluate_reference(
+    preds, gts, iou_threshold=0.5, box_mode="obb", conf_threshold=None, interpolation="all_points", audit=None
+):
+    """The per-object evaluate: group records by frame, match each frame with match_frame_reference, reduce the records."""
+    from obbkit.errors import DataError
+    from obbkit.evaluation import DEFAULT_IOU_THRESHOLDS, EvalResult
+
+    gts_by_frame, preds_by_frame = {}, {}
+    for gt in gts:
+        gts_by_frame.setdefault(gt.frame_id, []).append(gt)
+    for pred in preds:
+        preds_by_frame.setdefault(pred.video_id, []).append(pred)
+    gt_per_class = {}
+    for gt in gts:
+        if not gt.degenerate:
+            gt_per_class[gt.class_id] = gt_per_class.get(gt.class_id, 0) + 1
+    total_gt = sum(gt_per_class.values())
+    if total_gt == 0:
+        raise DataError("evaluation requires at least one ground-truth instance")
+
+    records = []
+    for frame_id in sorted(set(gts_by_frame) | set(preds_by_frame)):
+        records.extend(
+            match_frame_reference(
+                preds_by_frame.get(frame_id, []), gts_by_frame.get(frame_id, []), iou_threshold, box_mode, audit, frame_id
+            )
+        )
+    per_class_ap = {
+        cid: average_precision_reference([r for r in records if r.class_id == cid], n_gt, interpolation)
+        for cid, n_gt in gt_per_class.items()
+    }
+    map50 = sum(per_class_ap.values()) / len(per_class_ap)
+
+    if not records:
+        precision, recall, op_conf = 0.0, 0.0, 1.0 if conf_threshold is None else conf_threshold
+    else:
+        prec, rec, conf = _pr_curve_reference(records, total_gt)
+        if conf_threshold is not None:
+            kept = np.flatnonzero(conf >= conf_threshold)
+            k = int(kept[-1]) if kept.size else None
+            precision, recall = (float(prec[k]), float(rec[k])) if k is not None else (0.0, 0.0)
+            op_conf = conf_threshold
+        else:
+            k = int(np.argmax(2.0 * prec * rec / np.maximum(prec + rec, 1e-300)))
+            precision, recall, op_conf = float(prec[k]), float(rec[k]), float(conf[k])
+    ious = [r.iou for r in records if r.tp]
+    hist = {t: (sum(1 for v in ious if v >= t) / len(ious)) if ious else 0.0 for t in DEFAULT_IOU_THRESHOLDS}
+    return EvalResult(
+        per_class_ap, map50, precision, recall, op_conf, hist, len(ious), len(records), total_gt, iou_threshold, box_mode
+    )
+
+
+def read_split_labels_reference(split_dir, meta, n_classes=None, warnings=None):
+    """GroundTruths of a split read file by file, each file's quads canonicalized and flagged in one batch.
+
+    Returns the records, the split's stems and the number of skipped lines;
+    warnings are those of load_split, then of each file in stem order.
+    """
+    from pathlib import Path
+
+    from obbkit.errors import DataError
+    from obbkit.formats import GroundTruth, _label_values, load_split
+    from obbkit.geometry import canonical_order, degenerate_mask
+
+    split_dir = Path(split_dir)
+    pairs = load_split(split_dir.parent, split_dir.name, warnings=warnings)
+    gts, n_skipped = [], 0
+    for pair in pairs:
+        if pair.label_path is None:
+            continue
+        class_ids, coords, line_nos, notes = [], [], [], []
+        with open(pair.label_path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.split():
+                    continue
+                try:
+                    class_id, values = _label_values(line.split(), n_classes)
+                except DataError as exc:
+                    notes.append((line_no, f"skipped: {exc}"))
+                    n_skipped += 1
+                    continue
+                class_ids.append(class_id)
+                coords.extend(values)
+                line_nos.append(line_no)
+        raw = np.array(coords).reshape(-1, 4, 2) * (meta.width, meta.height)
+        flags = degenerate_mask(raw).tolist()
+        gts += [GroundTruth(pair.stem, c, q, f) for c, q, f in zip(class_ids, canonical_order(raw), flags)]
+        notes += [(n, "degenerate quad flagged") for n, f in zip(line_nos, flags) if f]
+        if warnings is not None:
+            warnings.extend(f"{pair.label_path}:{n}: {note}" for n, note in sorted(notes))
+    return gts, [pair.stem for pair in pairs], n_skipped
+
+
+def run_evaluate_reference(split_dir, detections, meta, **settings):
+    """``(EvalResult, counts, warnings)`` of the evaluate command, computed record by record."""
+    from obbkit.evaluation import MatchAudit
+    from obbkit.formats import iter_detections
+
+    warnings = []
+    gts, stems, gt_skipped = read_split_labels_reference(split_dir, meta, warnings=warnings)
+    pred_warnings = []
+    with open(detections, encoding="utf-8") as fh:
+        preds = list(iter_detections(fh, warnings=pred_warnings))
+    warnings += pred_warnings
+    unmatched = [p.video_id for p in preds if p.video_id not in set(stems)]
+    if unmatched:
+        named = ", ".join(repr(v) for v in list(dict.fromkeys(unmatched))[:5])
+        warnings.append(
+            f"{len(unmatched)} predictions match no frame (video_id is not a label stem), "
+            f"counted as false positives: {named}"
+        )
+    audit = MatchAudit()
+    result = evaluate_reference(preds, gts, audit=audit, **settings)
+    warnings += audit.notes
+    counts = {
+        "ground_truth_parsed": len(gts),
+        "ground_truth_skipped": gt_skipped,
+        "predictions_parsed": len(preds),
+        "predictions_skipped": len(pred_warnings),
+        "predictions_unmatched_frame": len(unmatched),
+        "predictions_evaluated": result.n_predictions,
+        "ground_truth_evaluated": result.n_ground_truth,
+    }
+    return result, counts, warnings
+
+
 def tr_sample_reference(quad) -> tuple[float, float]:
     """(tightness ratio, orientation in degrees) of one quad, one vertex and one scalar at a time."""
     v = np.asarray(quad, dtype=np.float64)

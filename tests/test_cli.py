@@ -957,3 +957,15 @@ def test_module_entry_point_prints_usage():
     proc = subprocess.run([sys.executable, "-m", "obbkit.cli", "--help"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage:") and "analyze" in proc.stdout
+
+
+def test_cli_import_loads_no_process_pool():
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, obbkit.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"

@@ -16,9 +16,8 @@ from obbkit.evaluation import (
     iou_threshold_histogram,
     match_frame,
 )
-from obbkit.formats import Detection, FrameMeta, GroundTruth
+from obbkit.formats import Detection, FrameMeta, GroundTruth, iter_detections, read_split_labels
 from obbkit.geometry import iou_obb, quad_from_rect
-from obbkit.pipeline import load_ground_truth, load_predictions
 from oracles import brute_force_ap, match_frame_reference
 
 BENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
@@ -310,8 +309,9 @@ class TestPrefilteredMatching:
         gen = _bench_gen()
         gen.gen_labeled_split(tmp_path, seed, n_images=8)
         meta = FrameMeta(width=gen.WIDTH, height=gen.HEIGHT)
-        gts, _ = load_ground_truth(tmp_path / "split", meta, None, False, [])
-        preds, _ = load_predictions(tmp_path / "predictions.jsonl", None, None, False, [])
+        gts = read_split_labels(tmp_path / "split", meta).ground_truths()
+        with open(tmp_path / "predictions.jsonl", encoding="utf-8") as fh:
+            preds = list(iter_detections(fh))
         calls = {"prefiltered": 0, "reference": 0}
 
         def counted(name, fn):

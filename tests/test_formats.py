@@ -328,6 +328,12 @@ class TestFrameMeta:
         with pytest.raises(ConfigError):
             FrameMeta(width=10.0, height=10.0, fps=-1.0)
 
+    @pytest.mark.parametrize("width, height", [(2e9, 720.0), (1280.0, 1e300), (float("inf"), 720.0), (float("nan"), 720.0)])
+    def test_sides_beyond_the_pixel_bound(self, width, height):
+        with pytest.raises(ConfigError, match="frame dimensions must be at most 1e\\+09 px"):
+            FrameMeta(width=width, height=height)
+        FrameMeta(width=1e9, height=1e9)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "meta.json"
         path.write_text(json.dumps({"width": 1280}))

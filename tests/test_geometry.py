@@ -363,20 +363,20 @@ class TestOrientation:
 class TestRectIou:
     def test_identical(self):
         r = np.array([[0.0, 0.0, 2.0, 3.0]])
-        assert rect_ious(r, r).tolist() == [[1.0]]
+        assert rect_ious(r[:, None], r[None]).tolist() == [[1.0]]
 
     def test_disjoint(self):
-        assert rect_ious(np.array([[0.0, 0.0, 1.0, 1.0]]), np.array([[5.0, 5.0, 6.0, 6.0]])).tolist() == [[0.0]]
+        assert rect_ious(np.array([0.0, 0.0, 1.0, 1.0]), np.array([5.0, 5.0, 6.0, 6.0])).tolist() == 0.0
 
     def test_half_overlap(self):
         a = np.array([[0.0, 0.0, 2.0, 1.0]])
-        assert rect_ious(a, np.array([[1.0, 0.0, 3.0, 1.0]]))[0, 0] == pytest.approx(1.0 / 3.0)
+        assert rect_ious(a, np.array([[1.0, 0.0, 3.0, 1.0]]))[0] == pytest.approx(1.0 / 3.0)
 
     def test_bits_equal_the_scalar_reference(self):
         rng = np.random.default_rng(17)
         lo = rng.uniform(0.0, 50.0, (40, 2))
         bounds = np.hstack([lo, lo + rng.uniform(0.1, 30.0, (40, 2))])
-        ious = rect_ious(bounds[:20], bounds[20:])
+        ious = rect_ious(bounds[:20, None], bounds[None, 20:])
         for i, j in itertools.product(range(20), range(20)):
             assert ious[i, j] == rect_iou_reference(RectAA(*bounds[i]), RectAA(*bounds[20 + j]))
         assert (ious > 0.0).sum() > 20

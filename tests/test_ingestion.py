@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import warnings
 from unittest import mock
 
 import pytest
@@ -61,6 +62,8 @@ ODD_VALUES = {
         [[10.0, 10.0], [30.0, 10.0], [30.0, math.nan], [10.0, 20.0]],
         [[10.0, 10.0], [30.0, math.inf], [30.0, 20.0], [10.0, 20.0]],
         [[10.0, 10.0], [30.0, 10**400], [30.0, 20.0], [10.0, 20.0]],
+        [[10.0, 10.0], [30.0, 1e300], [30.0, 20.0], [10.0, 20.0]],
+        [[-2 * 10**9, 10.0], [30.0, 10.0], [30.0, 20.0], [10.0, 20.0]],
         [[10.0, 10.0], [True, 10.0], [30.0, 20.0], [10.0, 20.0]],
         [[10.0, 10.0], ["30", 10.0], [30.0, 20.0], [10.0, None]],
         [[10.0, 10.0], {"x": 1, "y": 2}, [30.0, 20.0], [10.0, 20.0]],
@@ -241,3 +244,34 @@ class TestByteRanges:
         assert [c.video_ids for c in chunks] == [["é"], [], ["é"]]
         with pytest.raises(ParseError, match="^line 2: invalid UTF-8$"):
             read_detection_range(path, *next(line_ranges(path, 2)), None, None, True)
+
+    def test_range_reader_closes_its_file(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        path.write_text(json.dumps(record()) + "\n" + json.dumps(record(frame=4)) + "\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for span in line_ranges(path, 1):
+                read_detection_range(path, *span)
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class TestPixelBound:
+    NEAR_FLOAT_MAX = [[1e308, 1e308], [1.7e308, 1e308], [1.7e308, 1.7e308], [1e308, 1.7e308]]
+
+    @pytest.mark.parametrize(
+        "poly, reason",
+        [
+            (NEAR_FLOAT_MAX, "coordinate 1e+308 beyond the 1e+09 px bound"),
+            ([[0, 0], [10, 0], [10, 1000000001], [0, 10]], "coordinate 1000000001 beyond the 1e+09 px bound"),
+            ([[0.0, 0.0], [-1.5e9, 0.0], [10.0, 10.0], [0.0, 10.0]], "coordinate -1500000000.0 beyond the 1e+09 px bound"),
+        ],
+    )
+    def test_coordinates_beyond_the_bound_are_skipped(self, poly, reason):
+        lines = [json.dumps(record()) + "\n", json.dumps(record(poly=poly)) + "\n"]
+        want = assert_like_reference(lines)
+        assert want[:3] == (2, 1, [f"line 8: skipped: {reason}"])
+
+    def test_coordinates_at_the_bound_are_kept(self):
+        square = [[-1e9, -1e9], [1e9, -1e9], [1e9, 1e9], [-1e9, 1e9]]
+        assert assert_like_reference([json.dumps(record(poly=square)) + "\n"])[:2] == (1, 0)
