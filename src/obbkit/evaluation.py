@@ -170,11 +170,13 @@ def _match_split(labels: SplitLabels, video_ids, classes, confs, quads, degenera
     near = (pb[:, 0] <= gb[:, 2]) & (gb[:, 0] <= pb[:, 2]) & (pb[:, 1] <= gb[:, 3]) & (gb[:, 1] <= pb[:, 3])
     hbb_ious = rect_ious(pb[near], gb[near]).tolist() if box_mode == "hbb" else None
     pair_pred, pair_gt = pair_pred[near], pair_gt[near].tolist()
-    cuts = np.searchsorted(pair_pred, np.arange(n + 1)).tolist()
+    cuts = np.searchsorted(pair_pred, np.arange(n + 1))
+    rows = np.flatnonzero(np.diff(cuts)).tolist()  # the predictions with a candidate (np.unique would load numpy.ma)
+    cuts = cuts.tolist()
 
     claimed, best_ious = [-1] * n, [0.0] * n
     taken: set[int] = set()
-    for row in np.unique(pair_pred).tolist():
+    for row in rows:
         quad = pred_quads[row].tolist() if hbb_ious is None else None
         best_iou, best_gt = 0.0, -1
         for k in range(cuts[row], cuts[row + 1]):

@@ -789,7 +789,7 @@ def write_json_report(path: str | Path, payload) -> None:
         fh.write("\n")
 
 
-TABLE_BLOCK_ROWS = 65536  # rows formatted per write, so the text in memory stays bounded
+TABLE_BLOCK_ROWS = 4096  # rows formatted per write: the cells in memory are one block's (about 1.5 MiB for a timeline)
 
 
 def _cell_texts(values, fmt: str) -> list[str]:

@@ -85,10 +85,16 @@ class CoverageColumns:
     counts: np.ndarray
 
 
-def _starts(*keys: np.ndarray) -> np.ndarray:
-    """Mask of the positions where any of the sorted key columns changes value."""
-    new = np.ones(keys[0].size, bool)
-    new[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+def _starts(*keys: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the positions where any of the sorted key columns changes value.
+
+    With ``order``, the keys are taken in that order, one key at a time.
+    """
+    new = np.zeros(keys[0].size, bool)
+    new[:1] = True
+    for key in keys:
+        key = key if order is None else key[order]
+        new[1:] |= key[1:] != key[:-1]
     return new
 
 
@@ -97,16 +103,26 @@ def coverage_columns(frames: np.ndarray, classes: np.ndarray, areas: np.ndarray,
 
     Each entry sums its areas sequentially in record order (np.add.at
     over a stable sort), so the bits do not depend on how the records
-    were chunked.
+    were chunked.  Each per-record temporary is dropped as soon as it
+    is used, since this reduction sets the peak memory of analyze.
     """
     order = np.lexsort((frames, classes))
-    brands, frames = classes[order], frames[order]
-    new = _starts(brands, frames)
+    new = _starts(classes, frames, order=order)
     first = np.flatnonzero(new)
-    sums = np.zeros(first.size)
-    np.add.at(sums, np.cumsum(new) - 1, areas[order])
-    c = np.minimum(1.0, sums / frame_area)
-    return CoverageColumns(brands[first], frames[first], c, c > 0.0, np.diff(first, append=brands.size))
+    rows, counts = order[first], np.diff(first, append=classes.size)
+    del first
+    areas = areas[order]
+    del order
+    entry_of = new.astype(np.int64)
+    del new
+    np.cumsum(entry_of, out=entry_of)  # in place: np.cumsum of the bools would cast them in a full copy
+    entry_of -= 1
+    c = np.zeros(rows.size)
+    np.add.at(c, entry_of, areas)
+    del entry_of, areas
+    c /= frame_area
+    np.minimum(c, 1.0, out=c)
+    return CoverageColumns(classes[rows], frames[rows], c, c > 0.0, counts)
 
 
 def filter_coverage(cov: CoverageColumns, min_run: int, max_gap: int) -> CoverageColumns:
@@ -120,9 +136,11 @@ def filter_coverage(cov: CoverageColumns, min_run: int, max_gap: int) -> Coverag
         return cov
     vis = np.flatnonzero(cov.z)
     vb, vf = cov.brands[vis], cov.frames[vis]
+    del vis
     brk = _starts(vb, vf - np.arange(vf.size))  # a run continues while the frame steps by 1
     run_b, run_s = vb[brk], vf[brk]
     run_last = vf[np.append(np.flatnonzero(brk)[1:] - 1, vf.size - 1)]  # inclusive: no overflow at int64 max
+    del vb, vf, brk
     bridge = np.zeros(run_b.size, bool)
     bridge[1:] = (run_b[1:] == run_b[:-1]) & (run_s[1:] - run_last[:-1] <= max_gap + 1)
     run_b, run_s, run_last = run_b[~bridge], run_s[~bridge], run_last[np.append(~bridge[1:], True)]
@@ -132,35 +150,45 @@ def filter_coverage(cov: CoverageColumns, min_run: int, max_gap: int) -> Coverag
     shown_f = run_s[run_of] + np.arange(run_of.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
     # sorted two-column join of the entries with the visible frames; an entry sorts first
+    n = cov.brands.size
     all_b = np.concatenate([cov.brands, run_b[run_of]])
     all_f = np.concatenate([cov.frames, shown_f])
+    del run_of, shown_f
     order = np.lexsort((all_f, all_b))
-    new = _starts(all_b[order], all_f[order])
+    new = _starts(all_b, all_f, order=order)
     src = order[new]
-    has_entry = src < cov.brands.size
-    visible = (np.diff(np.append(np.flatnonzero(new), order.size)) == 2) | ~has_entry
-    entry = np.where(has_entry, src, 0)
-    c = np.where(visible & has_entry & cov.z[entry], cov.c[entry], 0.0)
-    return CoverageColumns(all_b[src], all_f[src], c, visible, np.where(has_entry, cov.counts[entry], 0))
+    del order
+    paired = ~np.append(new[1:], True)[new]  # keys are unique on each side, so a key has at most two rows
+    del new
+    brands, frames = all_b[src], all_f[src]
+    del all_b, all_f
+    has_entry = src < n
+    visible = paired | ~has_entry
+    src[~has_entry] = 0  # rows without an entry read entry 0, which the masks below discard
+    c = np.where(visible & has_entry & cov.z[src], cov.c[src], 0.0)
+    return CoverageColumns(brands, frames, c, visible, np.where(has_entry, cov.counts[src], 0))
 
 
 def _brand_spans(cov: CoverageColumns) -> list[tuple[int, int, int, int]]:
     """(brand, first row, end row, visible frames) of every brand of the columns."""
     first = np.flatnonzero(_starts(cov.brands))
-    ends = np.append(first[1:], cov.brands.size)
-    n_visible = np.add.reduceat(cov.z.astype(np.int64), first)
-    return list(zip(cov.brands[first].tolist(), first.tolist(), ends.tolist(), n_visible.tolist()))
+    spans = zip(cov.brands[first].tolist(), first.tolist(), [*first[1:].tolist(), cov.brands.size])
+    return [(brand, lo, hi, int(np.count_nonzero(cov.z[lo:hi]))) for brand, lo, hi in spans]
 
 
 def aggregate_columns(cov: CoverageColumns, meta: FrameMeta) -> list[BrandMetrics]:
-    """Video-level metrics of every brand of the columns, brands ascending."""
-    c, weighted = cov.c.tolist(), (cov.c * cov.z).tolist()
+    """Video-level metrics of every brand of the columns, brands ascending.
+
+    Works on one brand's rows at a time; math.fsum iterates the product
+    column without a list of it, and its sum is exactly rounded.
+    """
     out = []
     for brand, lo, hi, n in _brand_spans(cov):
-        total, count = math.fsum(weighted[lo:hi]), int(cov.counts[lo:hi].sum())
+        c = cov.c[lo:hi]
+        total, count = math.fsum(c * cov.z[lo:hi]), int(cov.counts[lo:hi].sum())
         present = 100.0 * total / n if n > 0 else 0.0
         overall = 100.0 * total / meta.frame_count
-        out.append(BrandMetrics(brand, meta.dt * n, present, overall, 100.0 * max(c[lo:hi]), count, n))
+        out.append(BrandMetrics(brand, meta.dt * n, present, overall, 100.0 * float(c.max()), count, n))
     return out
 
 

@@ -113,9 +113,9 @@ class _ChunkResult:
     n_records: int
     n_skipped: int
     n_below_conf: int
-    frames: np.ndarray
-    classes: np.ndarray
-    areas: np.ndarray
+    frames: np.ndarray | None  # the three columns are None once run_analyze has joined them
+    classes: np.ndarray | None
+    areas: np.ndarray | None
     max_frame: int
     distinct_frames: np.ndarray  # of the valid records at any confidence; empty when meta has a frame count
     warnings: list[str]
@@ -156,6 +156,11 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
         for span in line_ranges(cfg.detections, CHUNK_LINES)
     )
     chunks = list(_map_ordered(_analyze_chunk, tasks, cfg.jobs))
+    frames = np.concatenate([np.zeros(0, np.int64), *(c.frames for c in chunks)])
+    classes = np.concatenate([np.zeros(0, np.int64), *(c.classes for c in chunks)])
+    areas = np.concatenate([np.zeros(0), *(c.areas for c in chunks)])
+    for c in chunks:
+        c.frames = c.classes = c.areas = None
 
     n_records = sum(c.n_records for c in chunks)
     n_skipped = sum(c.n_skipped for c in chunks)
@@ -183,15 +188,6 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
             "detections of more than one video are merged into one timeline: %s",
             ", ".join(map(repr, video_ids)),
         )
-
-    if chunks and any(c.frames.size for c in chunks):
-        frames = np.concatenate([c.frames for c in chunks])
-        classes = np.concatenate([c.classes for c in chunks])
-        areas = np.concatenate([c.areas for c in chunks])
-    else:
-        frames = np.zeros(0, np.int64)
-        classes = np.zeros(0, np.int64)
-        areas = np.zeros(0)
 
     brand_metrics, timeline, ranking = metrics.reduce_coverage(
         frames, classes, areas, cfg.meta, n_frames, cfg.top_k, cfg.min_run, cfg.max_gap

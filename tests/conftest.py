@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -30,6 +32,17 @@ def read_table_csv(path: Path) -> tuple[list[str], list[dict[str, str]]]:
     with open(path, encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
     return header, [dict(zip(header, row)) for row in rows]
+
+
+def traced_peak(run: Callable[[], object]) -> tuple[object, int]:
+    """``run()``'s result and the peak bytes tracemalloc saw allocated while it ran (numpy buffers included)."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def make_synthetic_stream(path: Path, n_frames: int, dets_per_frame: int, seed: int = 1234) -> dict:

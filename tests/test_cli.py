@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
-import tracemalloc
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import detection_line, read_table_csv
+from conftest import detection_line, read_table_csv, traced_peak
 from obbkit.cli import main
 from obbkit.errors import ConfigError
 from obbkit.formats import FrameMeta, iter_detections, read_label_file, write_table
@@ -816,12 +818,8 @@ class TestOutlierFrameIndex:
         meta = write_meta(tmp_path / "meta.json", frames=0)
         args = ["analyze", "--detections", str(dets), "--meta", str(meta), "--min-run", "3", "--jobs", "1"]
         assert main([*args, "--out", str(tmp_path / "warm")]) == 0  # imports and caches outside the measurement
-        tracemalloc.start()
-        try:
-            assert main([*args, "--out", str(tmp_path / "o")]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main([*args, "--out", str(tmp_path / "o")]))
+        assert code == 0
         assert peak < 2 * 2**20  # a dense series of 10**7 frames would take 10 MB
         assert "check for an outlier frame index" in capsys.readouterr().out
 
@@ -947,25 +945,31 @@ class TestChunkBoundaries:
         assert want.warnings[1].startswith("line 5: skipped: invalid JSON: ") and want.n_records == 6
 
 
-def test_module_entry_point_prints_usage():
-    import os
-    import subprocess
-    import sys
-
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with this checkout's sources on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "obbkit.cli", "--help"], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point_prints_usage():
+    proc = _python("-m", "obbkit.cli", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage:") and "analyze" in proc.stdout
 
 
 def test_cli_import_loads_no_process_pool():
-    import os
-    import subprocess
-    import sys
-
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, obbkit.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = _python("-c", code)
     assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("box_mode", ["obb", "hbb"])
+def test_evaluate_loads_no_numpy_ma(tmp_path, box_mode):
+    # numpy.ma costs about 25 ms of start-up in every interpreter that imports it
+    split, preds = make_eval_tree(tmp_path)
+    argv = ["evaluate", "--labels", str(split), "--detections", str(preds), "--width", "100", "--height", "100",
+            "--box-mode", box_mode, "--out", str(tmp_path / "out")]  # fmt: skip
+    code = f"import sys, obbkit.cli; rc = obbkit.cli.main({argv!r}); print(rc, 'numpy.ma' in sys.modules)"
+    proc = _python("-c", code)
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "0 False"

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from obbkit.formats import (
     serialize_obb_label_line,
     write_table,
 )
-from conftest import detection_line, read_table_csv
+from conftest import detection_line, read_table_csv, traced_peak
 from oracles import normalize_quad_reference, random_convex_quad, write_table_reference
 from obbkit.geometry import normalize_quad, polygon_area
 from obbkit.geometry import quad_from_rect
@@ -177,12 +176,7 @@ class TestDetectionStream:
             for i in range(n):
                 yield detection_line("v", i % 1000, i % 7, quad_from_rect(100 + i % 50, 80, 20, 10, i % 180), 0.9)
 
-        tracemalloc.start()
-        count = 0
-        for _ in iter_detections(lines(20_000), meta=meta):
-            count += 1
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        count, peak = traced_peak(lambda: sum(1 for _ in iter_detections(lines(20_000), meta=meta)))
         assert count == 20_000
         # ~3 MB of text flows through; a streaming parser holds only one record
         assert peak < 2_000_000
@@ -515,6 +509,16 @@ class TestReportTables:
             write_table(by_cols, self.FIELDS, cols, fmt)
             assert by_rows.read_bytes() == want.read_bytes()
             assert by_cols.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_bounded_by_a_block(self, tmp_path, fmt):
+        n = 200_000
+        rng = np.random.default_rng(3)
+        columns = {"brand_id": np.arange(n) % 64, "frame_index": np.arange(n) * 7, "coverage": rng.random(n)}
+        path = tmp_path / f"timeline.{fmt}"
+        _, peak = traced_peak(lambda: write_table(path, list(columns), columns, fmt))
+        assert path.stat().st_size > 5 * 2**20
+        assert peak < 4 * 2**20  # the cells of 65,536 rows at once took about 23 MiB
 
     def test_deterministic_bytes(self, tmp_path):
         rows = [{"brand_id": i, "exposure_s": i * 0.1, "note": "x"} for i in range(20)]

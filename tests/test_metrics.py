@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from obbkit.cli import main
 from obbkit.errors import ConfigError
-from conftest import read_table_csv
+from conftest import read_table_csv, traced_peak
 from obbkit.formats import Detection, FrameMeta
 from obbkit.geometry import quad_from_rect
 from obbkit.metrics import (
     BrandMetrics,
+    CoverageColumns,
     FrameCoverage,
     aggregate_brand,
+    aggregate_columns,
     build_timeline,
     coverage_columns,
     frame_coverage,
@@ -166,6 +168,17 @@ class TestAggregateBrand:
         a = aggregate_brand(covs, meta)
         b = aggregate_brand(list(reversed(covs)), meta)
         assert a == b  # fsum reductions are exactly rounded
+
+    def test_columns_memory_bounded_by_one_brand(self):
+        n = 200_000
+        rng = np.random.default_rng(13)
+        c = rng.random(n) * (rng.random(n) < 0.7)
+        cov = CoverageColumns(np.sort(rng.integers(0, 64, n)), np.arange(n), c, c > 0, rng.integers(1, 4, n))
+        meta = FrameMeta(width=10, height=10, fps=25.0, frame_count=n)
+        got, peak = traced_peak(lambda: aggregate_columns(cov, meta))
+        assert [m.brand_id for m in got] == list(range(64))
+        assert sum(m.detection_count for m in got) == int(cov.counts.sum())
+        assert peak < 2 * 2**20  # lists of the whole c and c*z columns take about 14 MiB
 
 
 class TestTemporalFilter:
