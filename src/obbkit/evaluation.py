@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .formats import Detection, GroundTruth, SplitLabels
-from .geometry import enclosing_bounds, iou_obb, rect_ious
+from .geometry import _area, canonical_order, enclosing_bounds, rect_ious, shoelace_areas
 from .geometry import enclosing_hbb  # noqa: F401 - bound for the benchmark's layer tracer
+from .geometry import iou_canonical as iou_obb  # the per-pair kernel, bound under the name the benchmark's layer tracer patches
 
 DEFAULT_IOU_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -143,7 +144,7 @@ def _match_split(labels: SplitLabels, video_ids, classes, confs, quads, degenera
     whose enclosing box overlaps or touches its own, in row order, so the
     first one with the best IoU wins a tie.  Returns the prediction rows in
     record order, the ground-truth row each claims (-1 for none) and the
-    best IoU each saw.
+    best IoU each saw.  Both sides' quads are in canonical vertex order.
     """
     names = sorted(set(labels.stems).union(video_ids))
     rank = dict(zip(names, range(len(names))))
@@ -170,6 +171,8 @@ def _match_split(labels: SplitLabels, video_ids, classes, confs, quads, degenera
     near = (pb[:, 0] <= gb[:, 2]) & (gb[:, 0] <= pb[:, 2]) & (pb[:, 1] <= gb[:, 3]) & (gb[:, 1] <= pb[:, 3])
     hbb_ious = rect_ious(pb[near], gb[near]).tolist() if box_mode == "hbb" else None
     pair_pred, pair_gt = pair_pred[near], pair_gt[near].tolist()
+    del pb, gb  # as long as the unfiltered pairs: dropped before the areas' temporaries
+    gt_areas = shoelace_areas(gt_quads) if hbb_ious is None else None  # the IoU kernel takes both quads' areas
     cuts = np.searchsorted(pair_pred, np.arange(n + 1))
     rows = np.flatnonzero(np.diff(cuts)).tolist()  # the predictions with a candidate (np.unique would load numpy.ma)
     cuts = cuts.tolist()
@@ -177,13 +180,15 @@ def _match_split(labels: SplitLabels, video_ids, classes, confs, quads, degenera
     claimed, best_ious = [-1] * n, [0.0] * n
     taken: set[int] = set()
     for row in rows:
-        quad = pred_quads[row].tolist() if hbb_ious is None else None
+        if hbb_ious is None:
+            quad = pred_quads[row].tolist()
+            area = _area(quad)
         best_iou, best_gt = 0.0, -1
         for k in range(cuts[row], cuts[row + 1]):
             g = pair_gt[k]
             if g in taken:
                 continue
-            iou = iou_obb(quad, gt_quads[g].tolist()) if hbb_ious is None else hbb_ious[k]
+            iou = iou_obb(quad, gt_quads[g].tolist(), area, float(gt_areas[g])) if hbb_ious is None else hbb_ious[k]
             if iou > best_iou:
                 best_iou, best_gt = iou, g
         if best_gt >= 0 and best_iou >= iou_threshold:
@@ -270,7 +275,8 @@ def _operating_point(tp: np.ndarray, confs: np.ndarray, total_gt: int, conf_thre
 
 
 def _quads(items) -> np.ndarray:
-    return np.array([np.asarray(item.quad, np.float64) for item in items]).reshape(-1, 4, 2)
+    """The items' quads in canonical vertex order, as _match_split takes them."""
+    return canonical_order(np.array([np.asarray(item.quad, np.float64) for item in items]).reshape(-1, 4, 2))
 
 
 def _columns_of(preds: list[Detection], gts: list[GroundTruth], frame_id: str | None = None) -> tuple:
@@ -317,12 +323,13 @@ def evaluate_columns(
 ) -> EvalResult:  # fmt: skip
     """Match a split's labels against prediction columns and reduce to the headline scores.
 
-    Prediction ``i`` lies in the frame named ``video_ids[i]``; one whose id
-    is no stem of the split has no ground truth, so it is a false
-    positive.  ``degenerate`` flags predictions to drop (audited).  mAP
-    averages per-class AP over the classes of the live labels, summed in
-    the order in which they first appear; P/R are pooled over classes at
-    the operating point.
+    Prediction ``i`` lies in the frame named ``video_ids[i]``, with its
+    quad ``quads[i]`` in canonical vertex order (``geometry.canonical_order``,
+    as the split's label quads are); one whose id is no stem of the split
+    has no ground truth, so it is a false positive.  ``degenerate`` flags
+    predictions to drop (audited).  mAP averages per-class AP over the
+    classes of the live labels, summed in the order in which they first
+    appear; P/R are pooled over classes at the operating point.
     """
     gt_per_class = Counter(labels.classes[~labels.degenerate].tolist())
     total_gt = sum(gt_per_class.values())

@@ -19,6 +19,7 @@ import gc
 import io
 import json
 import math
+import os
 import re
 from array import array
 from bisect import bisect_right
@@ -211,17 +212,43 @@ class SplitLabels:
         return [GroundTruth(self.stems[f], c, quad, flag) for f, c, quad, flag in rows]
 
 
+def _checked_labels(records: list[list[str]], top_class: int) -> tuple[list[int], list[float]] | None:
+    """Class ids and coordinates of label records checked by column, or None unless each passes _label_values."""
+    if set(map(len, records)) != {9}:
+        return None
+    tokens = list(chain.from_iterable(records))
+    try:
+        ids = list(map(int, tokens[::9]))
+        del tokens[::9]
+        values = list(map(float, tokens))
+    except ValueError:
+        return None
+    # a NaN or an infinity makes the sum non-finite; without them min and max are exact
+    in_range = math.isfinite(sum(values)) and -COORD_TOL <= min(values) and max(values) <= 1.0 + COORD_TOL
+    return (ids, values) if in_range and 0 <= min(ids) and max(ids) <= top_class else None
+
+
 def _label_columns(sources, stems: list[str], meta: FrameMeta, n_classes: int | None, strict: bool):
     """SplitLabels of ``(frame index, lines)`` sources, and ``(frame index, line number, reason)`` of each malformed line.
 
-    Blank lines are not records.  With ``strict``, reading stops after the
-    first source holding a malformed line.  One ``canonical_order`` and one
-    ``degenerate_mask`` call cover the quads of all sources.
+    Blank lines are not records.  A source that fails the column check
+    goes through _label_values line by line, for each fault's reason.
+    With ``strict``, reading stops after the first source holding a
+    malformed line.  One ``canonical_order`` and one ``degenerate_mask``
+    call cover the quads of all sources.
     """
     frames, class_ids, coords, line_nos, faults = [], [], [], [], []
+    top_class = INT64_MAX if n_classes is None else n_classes - 1
     for frame, lines in sources:
-        for line_no, line in enumerate(lines, start=1):
-            fields = line.split()
+        split = list(map(str.split, lines))
+        checked = _checked_labels([fields for fields in split if fields], top_class)
+        if checked is not None:
+            frames += [frame] * len(checked[0])
+            class_ids += checked[0]
+            coords += checked[1]
+            line_nos += [line_no for line_no, fields in enumerate(split, start=1) if fields]
+            continue
+        for line_no, fields in enumerate(split, start=1):
             if not fields:
                 continue
             try:
@@ -231,7 +258,7 @@ def _label_columns(sources, stems: list[str], meta: FrameMeta, n_classes: int | 
                 continue
             frames.append(frame)
             class_ids.append(class_id)
-            coords.extend(values)
+            coords += values
             line_nos.append(line_no)
         if strict and faults:
             break
@@ -744,14 +771,18 @@ def load_split(
             raise ConfigError(f"missing split directory {d}")
 
     images: dict[str, Path] = {}
-    for p in sorted(images_dir.iterdir()):
-        if p.suffix.lower() not in IMAGE_EXTENSIONS or not p.is_file():
+    with os.scandir(images_dir) as entries:
+        image_files = sorted(entry.name for entry in entries if entry.is_file())
+    for p in (images_dir / name for name in image_files):
+        if p.suffix.lower() not in IMAGE_EXTENSIONS:
             continue
         if p.stem in images:
             raise DataError(f"duplicate image stem {p.stem!r} in {images_dir}")
         images[p.stem] = p
     labels: dict[str, Path] = {}
-    for p in sorted(labels_dir.glob("*.txt")):
+    with os.scandir(labels_dir) as entries:
+        label_names = sorted(entry.name for entry in entries if entry.name.endswith(".txt"))  # as glob("*.txt")
+    for p in (labels_dir / name for name in label_names):
         if p.stem in labels:
             raise DataError(f"duplicate label stem {p.stem!r} in {labels_dir}")
         labels[p.stem] = p

@@ -2,12 +2,14 @@
 
 Quads and clip polygons are plain float64 arrays of shape (k, 2) with
 vertices in order; an empty polygon is an array of shape (0, 2).  All
-scalar operations are pure functions; the clippers and the polygon area
-run on Python float lists, which is cheaper than numpy on a handful of
-vertices.  The batch kernels (canonical order, degeneracy, areas,
-enclosing bounds, orientation, frame clipping) take (n, 4, 2) quad
-batches, and the one-quad functions wrap them.  Pixel coordinates only:
-EDGE_TOL is absolute, so a 1e-5 x 1e-5 (normalized) box reads degenerate.
+scalar operations are pure functions; one Sutherland-Hodgman loop
+(_clip: frame sides for clip_to_rect, quad edges for the rotated IoU)
+and the polygon area run on Python float lists, which is cheaper than
+numpy on a handful of vertices.  The batch kernels (canonical order,
+degeneracy, areas, enclosing bounds, orientation, frame clipping) take
+(n, 4, 2) quad batches, and the one-quad functions wrap them.  Pixel
+coordinates only: EDGE_TOL is absolute, so a 1e-5 x 1e-5 (normalized)
+box reads degenerate.
 """
 
 from __future__ import annotations
@@ -109,22 +111,36 @@ def normalize_quad(points) -> tuple[np.ndarray, bool]:
     return canonical_order(v[None])[0].copy(), bool(degenerate_mask(v[None])[0])
 
 
-def _clip_halfplane(poly: list, dist: list) -> list:
-    """Sutherland-Hodgman step on [x, y] vertex lists: keep the region where dist >= 0."""
-    if all(d >= -EDGE_TOL for d in dist):
-        return poly  # what the loop below emits when no vertex is outside
-    k = len(poly)
-    out: list = []
-    for i in range(k):
-        j = i + 1 if i + 1 < k else 0
-        dc, dn = dist[i], dist[j]
-        if dc >= -EDGE_TOL:
-            out.append(poly[i])
-        if (dc > EDGE_TOL and dn < -EDGE_TOL) or (dc < -EDGE_TOL and dn > EDGE_TOL):
-            t = dc / (dc - dn)
-            (xc, yc), (xn, yn) = poly[i], poly[j]
-            out.append((xc + t * (xn - xc), yc + t * (yn - yc)))
-    return out if len(out) >= 3 else []
+def _clip(poly: list, planes) -> list:
+    """A convex polygon of [x, y] vertices cut by each ``(px, py, ex, ey)`` plane in turn; fewer than 3 vertices is [].
+
+    A plane keeps the left of the line through (px, py) along (ex, ey), to EDGE_TOL.
+    """
+    for px, py, ex, ey in planes:
+        xc, yc = poly[0]
+        dc = ex * (yc - py) - ey * (xc - px)
+        out: list = []
+        for xn, yn in poly[1:] + poly[:1]:
+            dn = ex * (yn - py) - ey * (xn - px)
+            if dc >= -EDGE_TOL:
+                out.append((xc, yc))
+                if dc > EDGE_TOL and dn < -EDGE_TOL:
+                    t = dc / (dc - dn)
+                    out.append((xc + t * (xn - xc), yc + t * (yn - yc)))
+            elif dn > EDGE_TOL:
+                t = dc / (dc - dn)
+                out.append((xc + t * (xn - xc), yc + t * (yn - yc)))
+            xc, yc, dc = xn, yn, dn
+        if len(out) < 3:
+            return []
+        poly = out
+    return poly
+
+
+def _edge_planes(q: list) -> tuple:
+    """The four edges 0->1, 1->2, 2->3, 3->0 of a canonical (counter-clockwise) quad as _clip planes."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = q
+    return (ax, ay, bx - ax, by - ay), (bx, by, cx - bx, cy - by), (cx, cy, dx - cx, dy - cy), (dx, dy, ax - dx, ay - dy)
 
 
 def _as_poly_array(pts: list) -> np.ndarray:
@@ -136,30 +152,9 @@ def clip_to_rect(poly, rect: RectAA) -> np.ndarray:
     v = as_poly(poly)
     if v.shape[0] < 3:
         return _EMPTY
-    pts = v.tolist()
-    for axis, sign, bound in (
-        (0, 1.0, rect.x_min),
-        (0, -1.0, rect.x_max),
-        (1, 1.0, rect.y_min),
-        (1, -1.0, rect.y_max),
-    ):
-        if not pts:
-            break
-        pts = _clip_halfplane(pts, [sign * (p[axis] - bound) for p in pts])
-    return _as_poly_array(pts)
-
-
-def _intersect(va: list, vb: list) -> list:
-    """Convex quad a clipped to the four edges of convex quad b, both in canonical order."""
-    v = va
-    for i in range(4):
-        if not v:
-            break
-        (px, py), (qx, qy) = vb[i], vb[i + 1 if i < 3 else 0]
-        ex, ey = qx - px, qy - py
-        # CCW winding: inside is the left side of each directed edge
-        v = _clip_halfplane(v, [ex * (y - py) - ey * (x - px) for x, y in v])
-    return v
+    # sign * (coordinate - bound) as _clip's distance: the other axis's term is a zero
+    planes = ((rect.x_min, 0.0, 0.0, -1.0), (rect.x_max, 0.0, 0.0, 1.0), (0.0, rect.y_min, 1.0, 0.0), (0.0, rect.y_max, -1.0, 0.0))
+    return _as_poly_array(_clip(v.tolist(), planes))
 
 
 def _canonical_quad(points) -> list:
@@ -185,7 +180,7 @@ def _canonical_quad(points) -> list:
 
 def convex_intersection(a, b) -> np.ndarray:
     """Intersection polygon of two convex quads via half-plane clipping."""
-    return _as_poly_array(_intersect(_canonical_quad(a), _canonical_quad(b)))
+    return _as_poly_array(_clip(_canonical_quad(a), _edge_planes(_canonical_quad(b))))
 
 
 def iou_obb(a, b) -> float:
@@ -195,11 +190,17 @@ def iou_obb(a, b) -> float:
     vertices, so identical regions give exactly 1.0.
     """
     va, vb = _canonical_quad(a), _canonical_quad(b)
-    area_a = _area(va)
-    area_b = _area(vb)
+    return iou_canonical(va, vb, _area(va), _area(vb))
+
+
+def iou_canonical(va: list, vb: list, area_a: float, area_b: float) -> float:
+    """iou_obb of two quads in canonical order, as four [x, y] lists, given their areas (_area or shoelace_areas bits).
+
+    evaluate's per-pair kernel: each quad is ordered and measured once, not once per pair.
+    """
     if area_a <= 0.0 and area_b <= 0.0:
         raise GeometryError("IoU undefined: both quads have zero area")
-    inter = _area(_intersect(va, vb))
+    inter = _area(_clip(va, _edge_planes(vb)))
     union = area_a + area_b - inter
     if union <= 0.0:
         return 0.0

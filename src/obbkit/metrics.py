@@ -236,7 +236,9 @@ def frame_coverage(dets: list[Detection], meta: FrameMeta) -> FrameCoverage:
     """Coverage of one brand's detections within one frame, as analyze computes it.
 
     All detections must share brand and frame; an empty list yields
-    c=0, z=0, count=0.
+    c=0, z=0, count=0.  analyze clips quads in the stream's vertex order,
+    so the bits match its timeline only for quads in that order; parsed
+    Detections are in canonical order, which can change an area's last bit.
     """
     if not dets:
         return FrameCoverage(frame_index=0, brand_id=0, c=0.0, z=0, detection_count=0)

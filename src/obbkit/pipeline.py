@@ -122,6 +122,14 @@ class _ChunkResult:
     video_ids: list[str]  # the first VIDEO_ID_SAMPLES distinct ids, in line order
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values: np.unique's, without the numpy.ma import that np.unique makes."""
+    values = np.sort(values)
+    first = np.ones(values.size, bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def _analyze_chunk(task) -> _ChunkResult:
     path, offset, n_lines, first_line_no, meta, class_map, conf_threshold, strict = task
     chunk = read_detection_range(path, offset, n_lines, first_line_no, class_map, meta, strict)
@@ -137,7 +145,7 @@ def _analyze_chunk(task) -> _ChunkResult:
         np.array(chunk.classes, np.int64)[above],
         clip_areas_to_rect(chunk.quads[above], rect),
         chunk.max_frame,
-        np.unique(frames) if meta.frame_count <= 0 else frames[:0],
+        _distinct(frames) if meta.frame_count <= 0 else frames[:0],
         chunk.warnings,
         list(dict.fromkeys(chunk.video_ids))[:VIDEO_ID_SAMPLES],
     )
@@ -174,7 +182,7 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
         n_frames = max_frame + 1
         if n_frames > 0:
             report.warnings.append(f"frame count not provided; inferred {n_frames} from detections")
-            distinct = np.unique(np.concatenate([c.distinct_frames for c in chunks])).size
+            distinct = _distinct(np.concatenate([c.distinct_frames for c in chunks])).size
             if distinct * SPARSE_FRAME_RATIO < n_frames:
                 report.warnings.append(
                     f"inferred frame count {n_frames} is over {SPARSE_FRAME_RATIO}x the {distinct} distinct "

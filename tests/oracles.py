@@ -255,7 +255,7 @@ def normalize_quad_reference(points) -> tuple[np.ndarray, bool]:
 
 
 def _clip_halfplane_reference(poly: list, dist: list) -> list:
-    """geometry._clip_halfplane without its all-inside shortcut: every vertex goes through the loop."""
+    """One Sutherland-Hodgman step of the former clippers: keep the vertices with dist >= -EDGE_TOL, cut crossing edges."""
     k = len(poly)
     out: list = []
     for i in range(k):
@@ -268,6 +268,16 @@ def _clip_halfplane_reference(poly: list, dist: list) -> list:
             (xc, yc), (xn, yn) = poly[i], poly[j]
             out.append((xc + t * (xn - xc), yc + t * (yn - yc)))
     return out if len(out) >= 3 else []
+
+
+def clip_to_rect_reference(poly, rect) -> np.ndarray:
+    """clip_to_rect by its former route: per-axis distances sign * (coordinate - bound), x_min, x_max, y_min, y_max."""
+    pts = np.asarray(poly, dtype=np.float64).tolist()
+    for axis, sign, bound in ((0, 1.0, rect.x_min), (0, -1.0, rect.x_max), (1, 1.0, rect.y_min), (1, -1.0, rect.y_max)):
+        if not pts:
+            break
+        pts = _clip_halfplane_reference(pts, [sign * (p[axis] - bound) for p in pts])
+    return np.array(pts, dtype=np.float64) if pts else np.zeros((0, 2))
 
 
 def _canonical_pair_reference(a, b) -> list:
@@ -469,6 +479,34 @@ def evaluate_reference(
     return EvalResult(
         per_class_ap, map50, precision, recall, op_conf, hist, len(ious), len(records), total_gt, iou_threshold, box_mode
     )
+
+
+def label_columns_reference(sources, n_classes=None, strict=False):
+    """formats._label_columns' records, line by line through _label_values.
+
+    Returns the frame, class id, 8 normalized coordinates and line number
+    of each kept line, and ``(frame, line number, reason)`` of each
+    malformed one; with ``strict`` it stops after the first source that
+    holds a malformed line.
+    """
+    from obbkit.errors import DataError
+    from obbkit.formats import _label_values
+
+    records, faults = [], []
+    for frame, lines in sources:
+        for line_no, line in enumerate(lines, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            try:
+                class_id, values = _label_values(fields, n_classes)
+            except DataError as exc:
+                faults.append((frame, line_no, str(exc)))
+                continue
+            records.append((frame, class_id, values, line_no))
+        if strict and faults:
+            break
+    return records, faults
 
 
 def read_split_labels_reference(split_dir, meta, n_classes=None, warnings=None):

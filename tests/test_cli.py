@@ -13,6 +13,7 @@ from conftest import detection_line, read_table_csv, traced_peak
 from obbkit.cli import main
 from obbkit.errors import ConfigError
 from obbkit.formats import FrameMeta, iter_detections, read_label_file, write_table
+from obbkit import pipeline
 from obbkit.pipeline import EvaluateConfig, FitConfig
 from obbkit.geometry import quad_from_rect
 from obbkit.tightness import (
@@ -973,3 +974,22 @@ def test_evaluate_loads_no_numpy_ma(tmp_path, box_mode):
     code = f"import sys, obbkit.cli; rc = obbkit.cli.main({argv!r}); print(rc, 'numpy.ma' in sys.modules)"
     proc = _python("-c", code)
     assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_analyze_without_frame_count_loads_no_numpy_ma(tmp_path):
+    # the distinct frames behind the outlier check come from a sort, not np.unique (which imports numpy.ma)
+    dets = tmp_path / "dets.jsonl"
+    quad = quad_from_rect(50, 50, 20, 10, 0)
+    dets.write_text("".join(detection_line("v", f, 0, quad, 0.9) + "\n" for f in (3, 1, 3, 0, 1)))
+    argv = ["analyze", "--detections", str(dets), "--width", "100", "--height", "100", "--fps", "2", "--jobs", "1",
+            "--out", str(tmp_path / "out")]  # fmt: skip
+    code = f"import sys, obbkit.cli; rc = obbkit.cli.main({argv!r}); print(rc, 'numpy.ma' in sys.modules)"
+    proc = _python("-c", code)
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "0 False"
+    assert "frame count not provided; inferred 4 from detections" in proc.stdout
+
+
+def test_distinct_frames_equal_np_unique():
+    rng = np.random.default_rng(7)
+    for values in (np.zeros(0, np.int64), np.array([5]), rng.integers(0, 9, 50), rng.integers(-(2**62), 2**62, 300)):
+        assert pipeline._distinct(values).tobytes() == np.unique(values).tobytes()

@@ -18,7 +18,7 @@ from obbkit.evaluation import (
 )
 from obbkit.formats import Detection, FrameMeta, GroundTruth, iter_detections, read_split_labels
 from obbkit.geometry import iou_obb, quad_from_rect
-from oracles import brute_force_ap, match_frame_reference
+from oracles import brute_force_ap, match_frame_reference, random_convex_quad
 
 BENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
@@ -301,6 +301,21 @@ def _diamond(cx, cy, r):
     return np.array([[cx, cy - r], [cx + r, cy], [cx, cy + r], [cx - r, cy]], float)
 
 
+class TestRotatedIoUInEitherVertexOrder:
+    def test_match_frame_gives_iou_obb_bits(self):
+        # the adapters put quads in canonical order once; the per-pair kernel then sees the pair iou_obb orders itself
+        rng = np.random.default_rng(31)
+        orders = (lambda q: q, lambda q: q[::-1], lambda q: np.roll(q, 1, axis=0), lambda q: np.roll(q[::-1], 2, axis=0))
+        for _ in range(60):
+            a = random_convex_quad(rng, rng.uniform(100, 200, 2), rng.uniform(5, 40))
+            b = random_convex_quad(rng, a.mean(axis=0) + rng.uniform(-20, 20, 2), rng.uniform(5, 40))
+            want = iou_obb(a, b)
+            for pred_order in orders:
+                for gt_order in orders[::2]:
+                    [record] = match_frame([det("f", 0, 0, pred_order(a), 0.9)], [gt("f", 0, gt_order(b))], 0.5)
+                    assert record.iou == want
+
+
 class TestPrefilteredMatching:
     """match_frame against the per-pair greedy matcher it replaced, record for record."""
 
@@ -315,13 +330,13 @@ class TestPrefilteredMatching:
         calls = {"prefiltered": 0, "reference": 0}
 
         def counted(name, fn):
-            def wrapper(a, b):
+            def wrapper(*args):
                 calls[name] += 1
-                return fn(a, b)
+                return fn(*args)
 
             return wrapper
 
-        monkeypatch.setattr(evaluation, "iou_obb", counted("prefiltered", iou_obb))
+        monkeypatch.setattr(evaluation, "iou_obb", counted("prefiltered", evaluation.iou_obb))
         monkeypatch.setattr(geometry, "iou_obb", counted("reference", iou_obb))
         frames = sorted({g.frame_id for g in gts})
         assert len(frames) == 8

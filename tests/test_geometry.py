@@ -20,18 +20,21 @@ from obbkit.geometry import (
     convex_intersection,
     degenerate_mask,
     enclosing_hbb,
+    iou_canonical,
     iou_obb,
     normalize_quad,
     obb_orientation_deg,
     polygon_area,
     quad_from_rect,
     rect_ious,
+    shoelace_areas,
 )
 from oracles import (
     _ccw,
     _count_hits,
     _inside_convex,
     _split_samples,
+    clip_to_rect_reference,
     convex_intersection_reference,
     iou_obb_reference,
     mc_intersection_area,
@@ -567,3 +570,50 @@ class TestScalarPairRoute:
                 assert iou_obb(convert(a), convert(b)) == want
                 assert _same(convex_intersection(convert(a), convert(b)), convex_intersection(a, b))
             assert iou_obb(a.tolist(), b) == want
+
+
+def _boundary_pairs():
+    """Identical, nested, edge-sharing and touching pairs, with gaps and overlaps around EDGE_TOL."""
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])  # unit edges: a vertex's distance is its offset
+    pairs = []
+    for offset in (0.0, EDGE_TOL / 2, EDGE_TOL, 2 * EDGE_TOL, -EDGE_TOL / 2, -EDGE_TOL, -2 * EDGE_TOL, 1e-6):
+        pairs.append((unit, unit + [1.0 + offset, 0.0]))  # a shared edge, a hair apart or overlapping
+        pairs.append((unit, unit + [1.0 + offset, 1.0 + offset]))  # a shared corner
+        pairs.append((unit, unit + [offset, offset]))  # identical up to the offset
+    rot = quad_from_rect(700.0, 400.0, 80.0, 20.0, 33.0)
+    for other in (rot, rot[::-1], np.roll(rot, 1, axis=0), quad_from_rect(700.0, 400.0, 40.0, 10.0, 33.0)):
+        pairs += [(rot, other), (other, rot)]
+    return pairs
+
+
+class TestPairKernel:
+    """iou_canonical on quads ordered and measured once, as evaluate runs it, against iou_obb bit for bit."""
+
+    def test_bit_identical_to_iou_obb_and_reference(self):
+        for a, b in _reference_pairs() + _boundary_pairs():
+            va, vb = canonical_order(np.stack([a, b]).astype(np.float64))
+            area_a, area_b = shoelace_areas(np.stack([va, vb])).tolist()
+            got = _outcome(lambda x, y: iou_canonical(x.tolist(), y.tolist(), area_a, area_b), va, vb)
+            assert _same(got, _outcome(iou_obb, a, b))
+            assert _same(got, _outcome(iou_obb_reference, a, b))
+
+    def test_batch_order_and_areas_equal_the_scalar_ones(self):
+        # evaluate orders and measures quads in batches; iou_obb does it per pair with _canonical_quad and _area
+        rng = np.random.default_rng(97)
+        quads = np.stack([random_convex_quad(rng, rng.uniform(-1e4, 1e4, 2), rng.uniform(0.5, 500)) for _ in range(3000)])
+        quads[::3] = quads[::3, ::-1]  # clockwise
+        quads[1::3] = np.roll(quads[1::3], 1, axis=1)
+        once = canonical_order(quads)
+        assert np.array([_canonical_quad(q) for q in quads]).tobytes() == once.tobytes()
+        assert shoelace_areas(once).tolist() == [polygon_area(q) for q in once]
+        assert canonical_order(once).tobytes() == once.tobytes()  # so quads read in canonical order stay as they are
+
+    def test_clip_to_rect_equals_the_per_axis_route(self):
+        rng = np.random.default_rng(101)
+        for _ in range(400):
+            quad = random_convex_quad(rng, rng.uniform(-20, 120, 2), rng.uniform(1, 80))
+            (x_min, x_max), (y_min, y_max) = np.sort(rng.uniform(0, 100, (2, 2)), axis=1).tolist()
+            for rect in (FRAME, RectAA(x_min, y_min, x_max, y_max)):
+                assert _same(clip_to_rect(quad, rect), clip_to_rect_reference(quad, rect))
+        flush = np.array([[0.0, 0.0], [100.0, 0.0], [100.0, 50.0], [0.0, 50.0]])  # edges on the frame's
+        assert _same(clip_to_rect(flush, FRAME), clip_to_rect_reference(flush, FRAME))

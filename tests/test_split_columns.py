@@ -9,12 +9,17 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obbkit import cli, evaluation, formats, pipeline
 from obbkit.evaluation import EVAL_TABLE_FIELDS
-from obbkit.formats import FrameMeta, read_label_file, read_split_labels, write_json_report, write_table
-from oracles import read_split_labels_reference, run_evaluate_reference
+from conftest import traced_peak
+from obbkit.formats import FrameMeta, iter_detections, read_label_file, read_split_labels, write_json_report, write_table
+from obbkit.geometry import canonical_order, degenerate_mask
+from oracles import evaluate_reference, label_columns_reference, read_split_labels_reference, run_evaluate_reference
 
 BENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
@@ -160,6 +165,75 @@ class TestSplitReader:
             read_split_labels(split, META, strict=True)
 
 
+_CLASS_IDS = st.sampled_from(["0", "2", "+2", "1_0", "\u0663", "\uff12", "7"])  # int() takes each
+_ODD_CLASS_IDS = st.sampled_from(["-1", "9223372036854775808", "x", "1.0", "2e0"])
+_COORDS = st.one_of(
+    st.floats(0.0, 1.0).map(repr), st.sampled_from(["0", "1", "+0.25", "\u0660.\u0665", "\uff11", "-0", "-1e-7", "1.0000005"])
+)
+_ODD_COORDS = st.sampled_from(["nan", "-inf", "inf", "1e999", "-1e999", "1.1", "-0.5", "0_5", "abc", "0x1"])
+
+
+@st.composite
+def _label_line(draw) -> str:
+    """A label line with at most one fault: a bad class id or coordinate, 8 or 10 fields, or none at all (blank)."""
+    fields = [draw(_CLASS_IDS), *draw(st.lists(_COORDS, min_size=8, max_size=8))]
+    fault = draw(st.sampled_from(["none"] * 6 + ["class", "coord", "coord", "count", "blank"]))
+    if fault == "class":
+        fields[0] = draw(_ODD_CLASS_IDS)
+    elif fault == "coord":
+        fields[draw(st.integers(1, 8))] = draw(_ODD_COORDS)
+    elif fault == "count":
+        fields = fields[:8] if draw(st.booleans()) else [*fields, "0.5"]
+    elif fault == "blank":
+        fields = [draw(st.sampled_from(["", " ", "\t \u3000"]))]
+    return draw(st.sampled_from([" ", "  ", "\t"])).join(fields) + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+_SOURCES = st.lists(st.lists(_label_line(), max_size=6), max_size=5).map(lambda files: list(enumerate(files)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SOURCES, st.sampled_from([None, 3, 8]), st.booleans())
+def test_label_columns_equal_the_per_line_check(sources, n_classes, strict):
+    records, want_faults = label_columns_reference(sources, n_classes, strict)
+    labels, faults = formats._label_columns(sources, ["f"] * len(sources), META, n_classes, strict)
+    assert faults == want_faults and labels.n_skipped == len(want_faults)
+    assert labels.frames.tolist() == [r[0] for r in records]
+    assert labels.classes.tolist() == [r[1] for r in records]
+    assert labels.line_nos.tolist() == [r[3] for r in records]
+    raw = np.array([r[2] for r in records]).reshape(-1, 4, 2) * (META.width, META.height)
+    assert labels.quads.tobytes() == canonical_order(raw).tobytes()
+    assert labels.degenerate.tolist() == degenerate_mask(raw).tolist()
+
+
+def _generated_columns(root: Path, seed: int, n_images: int):
+    """A generated split's SplitLabels, its predictions as Detections, and the predictions' columns as evaluate reads them."""
+    GEN.gen_labeled_split(root, seed, n_images=n_images)
+    labels = read_split_labels(root / "split", META)
+    with open(root / "predictions.jsonl", encoding="utf-8") as fh:
+        preds = list(iter_detections(fh))
+    columns = ([p.video_id for p in preds], [p.class_id for p in preds], [p.confidence for p in preds])
+    return labels, preds, (*columns, np.stack([p.quad for p in preds]))
+
+
+@pytest.mark.parametrize("iou_threshold", [0.3, 0.5, 0.75])
+def test_split_match_decisions_equal_the_per_frame_reference(tmp_path, iou_threshold):
+    labels, preds, columns = _generated_columns(tmp_path, 12, 30)
+    want = evaluate_reference(preds, labels.ground_truths(), iou_threshold)
+    assert evaluation.evaluate_columns(labels, *columns, iou_threshold=iou_threshold) == want
+    assert evaluation.evaluate(preds, labels.ground_truths(), iou_threshold) == want
+    assert 0 < want.n_matched < want.n_predictions
+
+
+@pytest.mark.parametrize("box_mode", ["obb", "hbb"])
+def test_matching_memory_is_bounded_by_the_quad_columns(tmp_path, box_mode):
+    # no whole-split list of quads: one of the label quads alone is about 9x their array bytes
+    labels, _, columns = _generated_columns(tmp_path, 13, 100)
+    result, peak = traced_peak(lambda: evaluation.evaluate_columns(labels, *columns, box_mode=box_mode))
+    assert result.n_matched > 0
+    assert peak < 4 * (columns[3].nbytes + labels.quads.nbytes)
+
+
 def test_unmatched_ids_named_in_line_order_across_chunks(tmp_path, monkeypatch):
     GEN.gen_labeled_split(tmp_path, 10, n_images=4, gt_per_image=3, preds_per_image=3)
     split, preds = tmp_path / "split", tmp_path / "predictions.jsonl"
@@ -182,7 +256,7 @@ def test_rotated_iou_goes_through_the_module_global(tmp_path, monkeypatch):
     split, preds = faulted_split(tmp_path, 11)
     calls = []
     iou_obb = evaluation.iou_obb
-    monkeypatch.setattr(evaluation, "iou_obb", lambda a, b: calls.append(1) or iou_obb(a, b))
+    monkeypatch.setattr(evaluation, "iou_obb", lambda *args: calls.append(1) or iou_obb(*args))
     assert run_cli(split_argv("evaluate", split, preds, tmp_path / "obb"))[0] == 0
     n_obb = len(calls)
     assert run_cli(split_argv("evaluate", split, preds, tmp_path / "hbb", "--box-mode", "hbb"))[0] == 0
