@@ -5,7 +5,9 @@ vertices in order; an empty polygon is an array of shape (0, 2).  All
 scalar operations are pure functions; one Sutherland-Hodgman loop
 (_clip: frame sides for clip_to_rect, quad edges for the rotated IoU)
 and the polygon area run on Python float lists, which is cheaper than
-numpy on a handful of vertices.  The batch kernels (canonical order,
+numpy on a handful of vertices.  iou_canonical, evaluate's per-pair IoU,
+takes quads already in canonical order with their areas; iou_obb orders
+and measures its two quads, then calls it.  The batch kernels (canonical order,
 degeneracy, areas, enclosing bounds, orientation, frame clipping) take
 (n, 4, 2) quad batches, and the one-quad functions wrap them.  Pixel
 coordinates only: EDGE_TOL is absolute, so a 1e-5 x 1e-5 (normalized)
