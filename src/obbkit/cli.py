@@ -39,6 +39,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _file(text: str) -> Path:
+    """argparse type of an input file."""
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"file not found: {text}")
+    return Path(text)
+
+
+def _directory(text: str) -> Path:
+    """argparse type of an input directory."""
+    if not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"directory not found: {text}")
+    return Path(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
@@ -46,7 +60,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_meta_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--meta", type=Path, help="sidecar metadata JSON (video_id, width, height, fps, frame_count)")
+    p.add_argument("--meta", type=_file, help="sidecar metadata JSON (video_id, width, height, fps, frame_count)")
     p.add_argument("--width", type=float, help="frame width in pixels (overrides --meta)")
     p.add_argument("--height", type=float, help="frame height in pixels (overrides --meta)")
     p.add_argument("--fps", type=float, help="frame rate (overrides --meta)")
@@ -58,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="brand exposure metrics from a detection stream")
-    p.add_argument("--detections", type=Path, required=True, help="JSON-lines detection file")
-    p.add_argument("--classes", type=Path, help="class map file (one name per line)")
+    p.add_argument("--detections", type=_file, required=True, help="JSON-lines detection file")
+    p.add_argument("--classes", type=_file, help="class map file (one name per line)")
     _add_meta_flags(p)
     p.add_argument("--conf-threshold", type=float, default=0.5, help="drop detections below this confidence")
     p.add_argument("--top-k", type=int, default=5, help="ranking length")
@@ -69,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("evaluate", help="mAP/precision/recall of predictions against a labeled split")
-    p.add_argument("--labels", type=Path, required=True, help="split directory containing images/ and labels/")
-    p.add_argument("--detections", type=Path, required=True, help="JSON-lines predictions file")
-    p.add_argument("--classes", type=Path, help="class map file")
+    p.add_argument("--labels", type=_directory, required=True, help="split directory containing images/ and labels/")
+    p.add_argument("--detections", type=_file, required=True, help="JSON-lines predictions file")
+    p.add_argument("--classes", type=_file, help="class map file")
     _add_meta_flags(p)
     p.add_argument("--iou-threshold", type=float, default=0.5, help="matching IoU threshold")
     p.add_argument("--box-mode", choices=("obb", "hbb"), default="obb", help="match on rotated or enclosing boxes")
@@ -85,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("fit", help="tightness-ratio vs orientation analysis")
-    p.add_argument("--labels", type=Path, help="split directory containing images/ and labels/")
-    p.add_argument("--detections", type=Path, help="JSON-lines predictions file")
-    p.add_argument("--classes", type=Path, help="class map file")
+    p.add_argument("--labels", type=_directory, help="split directory containing images/ and labels/")
+    p.add_argument("--detections", type=_file, help="JSON-lines predictions file")
+    p.add_argument("--classes", type=_file, help="class map file")
     _add_meta_flags(p)
     p.add_argument("--bin-width", type=float, default=None, help="orientation bin width in degrees (default: emit 15 and 5)")
     _add_common(p)
@@ -98,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-box", type=float, default=None)
     p.add_argument("--lambda-cls", type=float, default=None)
     p.add_argument("--lambda-dfl", type=float, default=None)
-    p.add_argument("--params", type=Path, help="JSON file with loss parameters")
+    p.add_argument("--params", type=_file, help="JSON file with loss parameters")
     p.add_argument("--out", type=Path, default=None, help="directory for the JSON report (optional)")
     return parser
 
@@ -114,11 +128,7 @@ def _resolve_meta(args, require_dims: bool) -> FrameMeta | None:
 
 
 def _load_classes(args) -> ClassMap | None:
-    if getattr(args, "classes", None) is None:
-        return None
-    if not args.classes.is_file():
-        raise ConfigError(f"class map file not found: {args.classes}")
-    return load_class_map(args.classes)
+    return None if args.classes is None else load_class_map(args.classes)
 
 
 def _config_echo(args) -> dict:
@@ -135,8 +145,11 @@ def _loss_params(args) -> LossParams:
     names = [f.name for f in dataclasses.fields(LossParams)]
     values = {}
     if args.params is not None:
-        with open(args.params, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.params, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # a JSON syntax error, bytes that are not UTF-8, nesting too deep
+            raise ConfigError(f"{args.params}: invalid loss parameter JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.params}: loss parameter file must be a JSON object")
         unknown = set(loaded) - set(names)
@@ -177,8 +190,6 @@ def _dispatch(args) -> int:
         report = pipeline.run_analyze(cfg, echo)
     elif args.command == "evaluate":
         meta = _resolve_meta(args, require_dims=True)
-        if not args.labels.is_dir():
-            raise ConfigError(f"labels directory not found: {args.labels}")
         cfg = _config(pipeline.EvaluateConfig, args, meta=meta, class_map=_load_classes(args))
         report = pipeline.run_evaluate(cfg, echo)
     elif args.command == "fit":

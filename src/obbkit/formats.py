@@ -42,6 +42,8 @@ INT64_MAX = 2**63 - 1  # frame indices and class ids end up in int64 arrays
 
 IMAGE_EXTENSIONS = (".jpg", ".jpeg", ".png", ".bmp", ".tif", ".tiff", ".webp")
 
+_UNDECODABLE = re.compile("[\udc80-\udcff]")  # what the surrogateescape handler makes of a non-UTF-8 byte
+
 
 @dataclass(frozen=True)
 class FrameMeta:
@@ -73,8 +75,11 @@ class FrameMeta:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "FrameMeta":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # a JSON syntax error, bytes that are not UTF-8, nesting too deep
+            raise DataError(f"{path}: invalid metadata JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise DataError(f"{path}: metadata must be a JSON object")
         try:
@@ -122,8 +127,10 @@ class ClassMap:
 
 
 def load_class_map(path: str | Path) -> ClassMap:
-    with open(path, encoding="utf-8") as fh:
-        names = [line.rstrip("\r\n") for line in fh]
+    lines, invalid = _text_lines(path)
+    if invalid:
+        raise DataError(f"{path}: line {invalid[0] + 1}: invalid UTF-8 in class map")
+    names = [line.rstrip("\r\n") for line in lines]
     while names and names[-1] == "":
         names.pop()
     if any(name == "" for name in names):
@@ -159,6 +166,8 @@ class Detection:
 
 def _label_values(fields: list[str], n_classes: int | None) -> tuple[int, list[float]]:
     """Class id and the 8 normalized coordinates of one label line's fields; DataError names the fault."""
+    if any(map(_UNDECODABLE.search, fields)):
+        raise DataError("invalid UTF-8")
     if len(fields) != 9:
         raise DataError(f"expected 9 fields, got {len(fields)}")
     cls_tok = fields[0]
@@ -267,14 +276,9 @@ def _label_columns(sources, stems: list[str], meta: FrameMeta, n_classes: int | 
     return SplitLabels(stems, *columns, np.array(line_nos, np.int64), len(faults)), faults
 
 
-def _file_lines(path: Path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return fh.readlines()
-
-
 def _read_labels(stems: list[str], files: list[tuple[int, Path]], meta, n_classes, strict, warnings) -> SplitLabels:
     """SplitLabels of ``(frame index, path)`` label files in frame order, with read_label_file's warnings and errors."""
-    labels, faults = _label_columns(((frame, _file_lines(path)) for frame, path in files), stems, meta, n_classes, strict)
+    labels, faults = _label_columns(((frame, _text_lines(path)[0]) for frame, path in files), stems, meta, n_classes, strict)
     paths = dict(files)
     if strict and faults:
         frame, line_no, reason = faults[0]
@@ -457,7 +461,6 @@ SCAN_BYTES = 1 << 16  # bytes read at a time while finding chunk boundaries; for
 _FIELDS = ("video_id", "frame", "class", "poly", "conf")
 _PLACEHOLDER = {"video_id": "", "frame": 0, "class": 0, "poly": [[0.0, 0.0]] * 4, "conf": 0.0}
 _UNDECODED = object()
-_UNDECODABLE = re.compile("[\udc80-\udcff]")  # what the surrogateescape handler makes of a non-UTF-8 byte
 
 
 def _decode_one(text: str, k: int, faults: dict[int, str]):
@@ -692,11 +695,21 @@ def line_ranges(path: str | Path, n_lines: int) -> Iterator[tuple[int, int, int]
         yield start, seen + (last != b"\n"), first_line_no
 
 
-def _text_lines(path: str | Path, offset: int, n_lines: int, errors: str) -> list[str]:
-    with open(path, "rb") as raw:
-        raw.seek(offset)
-        with io.TextIOWrapper(raw, encoding="utf-8", errors=errors) as text:
-            return list(islice(text, n_lines))
+def _text_lines(path: str | Path, offset: int = 0, n_lines: int | None = None) -> tuple[list[str], list[int]]:
+    """Up to ``n_lines`` text-mode lines of a file from a byte offset (all with None), and the indices of those holding bytes that are not UTF-8.
+
+    Only a strict UTF-8 read that fails is made again with surrogateescape, which keeps each bad byte as a lone surrogate.
+    """
+    for errors in ("strict", "surrogateescape"):
+        with open(path, "rb") as raw:
+            raw.seek(offset)
+            with io.TextIOWrapper(raw, encoding="utf-8", errors=errors) as text:
+                try:
+                    lines = list(islice(text, n_lines))
+                except UnicodeDecodeError:  # raised by the strict read only
+                    continue
+        invalid = [i for i, line in enumerate(lines) if _UNDECODABLE.search(line)] if errors != "strict" else []
+        return lines, invalid
 
 
 def read_detection_range(path: str | Path, offset: int, n_lines: int, first_line_no: int, *args) -> DetectionChunk:
@@ -705,11 +718,7 @@ def read_detection_range(path: str | Path, offset: int, n_lines: int, first_line
     The lines are read in text mode.  A line holding bytes that are not
     UTF-8 is an invalid record (``invalid UTF-8``).
     """
-    try:
-        lines, invalid = _text_lines(path, offset, n_lines, "strict"), []
-    except UnicodeDecodeError:
-        lines = _text_lines(path, offset, n_lines, "surrogateescape")
-        invalid = [i for i, line in enumerate(lines) if _UNDECODABLE.search(line)]
+    lines, invalid = _text_lines(path, offset, n_lines)
     return parse_detection_chunk(lines, first_line_no, *args, invalid_utf8=invalid)
 
 
@@ -751,6 +760,18 @@ class SplitPair:
     label_path: Path | None
 
 
+def _files_by_stem(directory: Path, kind: str, keep) -> dict[str, Path]:
+    """The files of ``directory`` that ``keep`` accepts, by stem, in name order; a stem held twice is a DataError."""
+    with os.scandir(directory) as entries:
+        paths = [directory / name for name in sorted(entry.name for entry in entries if entry.is_file())]
+    files: dict[str, Path] = {}
+    for p in filter(keep, paths):
+        if p.stem in files:
+            raise DataError(f"duplicate {kind} stem {p.stem!r} in {directory}")
+        files[p.stem] = p
+    return files
+
+
 def load_split(
     root: str | Path,
     split: str,
@@ -761,7 +782,7 @@ def load_split(
 
     Unpaired labels are kept with a warning in lax mode and excluded in
     strict mode; unpaired images pair with an empty label.  Duplicate
-    stems are an error.
+    stems are an error.  Entries that are not files are ignored.
     """
     base = Path(root) / split
     images_dir = base / "images"
@@ -770,23 +791,8 @@ def load_split(
         if not d.is_dir():
             raise ConfigError(f"missing split directory {d}")
 
-    images: dict[str, Path] = {}
-    with os.scandir(images_dir) as entries:
-        image_files = sorted(entry.name for entry in entries if entry.is_file())
-    for p in (images_dir / name for name in image_files):
-        if p.suffix.lower() not in IMAGE_EXTENSIONS:
-            continue
-        if p.stem in images:
-            raise DataError(f"duplicate image stem {p.stem!r} in {images_dir}")
-        images[p.stem] = p
-    labels: dict[str, Path] = {}
-    with os.scandir(labels_dir) as entries:
-        label_names = sorted(entry.name for entry in entries if entry.name.endswith(".txt"))  # as glob("*.txt")
-    for p in (labels_dir / name for name in label_names):
-        if p.stem in labels:
-            raise DataError(f"duplicate label stem {p.stem!r} in {labels_dir}")
-        labels[p.stem] = p
-
+    images = _files_by_stem(images_dir, "image", lambda p: p.suffix.lower() in IMAGE_EXTENSIONS)
+    labels = _files_by_stem(labels_dir, "label", lambda p: p.name.endswith(".txt"))
     pairs: list[SplitPair] = []
     for stem in sorted(set(images) | set(labels)):
         img = images.get(stem)

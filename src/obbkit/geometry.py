@@ -159,30 +159,10 @@ def clip_to_rect(poly, rect: RectAA) -> np.ndarray:
     return _as_poly_array(_clip(v.tolist(), planes))
 
 
-def _canonical_quad(points) -> list:
-    """canonical_order of one quad on Python floats, as four [x, y] lists; as_quad's checks and errors."""
-    try:
-        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points.tolist() if isinstance(points, np.ndarray) else points
-        c = [float(v) for v in (x0, y0, x1, y1, x2, y2, x3, y3)]
-    except (TypeError, ValueError, OverflowError):
-        c = []
-    if len(c) != 8 or not all(map(math.isfinite, c)):
-        c = as_quad(points).reshape(-1).tolist()  # raises unless an odd input holds a valid quad
-    x0, y0, x1, y1, x2, y2, x3, y3 = c
-    ax, ay, bx, by, cx, cy, dx, dy = x0 - x0, y0 - y0, x1 - x0, y1 - y0, x2 - x0, y2 - y0, x3 - x0, y3 - y0
-    # _signed_areas2's vertex-0-anchored shoelace terms, in its order
-    s = (ax * by - bx * ay) + (bx * cy - cx * by) + (cx * dy - dx * cy) + (dx * ay - ax * dy)
-    q = [[x0, y0], [x1, y1], [x2, y2], [x3, y3]]
-    if s < 0:
-        q.reverse()
-    keys = [(y, x) for x, y in q]
-    start = keys.index(min(keys))  # the first smallest (y, x)
-    return q[start:] + q[:start]
-
-
 def convex_intersection(a, b) -> np.ndarray:
     """Intersection polygon of two convex quads via half-plane clipping."""
-    return _as_poly_array(_clip(_canonical_quad(a), _edge_planes(_canonical_quad(b))))
+    va, vb = canonical_order(np.stack([as_quad(a), as_quad(b)])).tolist()
+    return _as_poly_array(_clip(va, _edge_planes(vb)))
 
 
 def iou_obb(a, b) -> float:
@@ -191,7 +171,7 @@ def iou_obb(a, b) -> float:
     All three areas come from the same function on canonically ordered
     vertices, so identical regions give exactly 1.0.
     """
-    va, vb = _canonical_quad(a), _canonical_quad(b)
+    va, vb = canonical_order(np.stack([as_quad(a), as_quad(b)])).tolist()
     return iou_canonical(va, vb, _area(va), _area(vb))
 
 

@@ -913,6 +913,121 @@ class TestUnreadableLines:
         assert "error: line 2: invalid JSON: Invalid control character" in capsys.readouterr().err
 
 
+class TestInputFiles:
+    """Missing and undecodable input files are configuration or data errors, never internal ones."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, argv: list[str], **extra: Path) -> tuple[int, str, Path]:
+        split, preds = make_eval_tree(tmp_path)
+        paths = {"split": split, "preds": preds, "meta": write_meta(tmp_path / "meta.json"), **extra}
+        out = tmp_path / "out"
+        code = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        return code, err, out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--labels", "{split}", "--detections", "{missing}", "--meta", "{meta}"],
+            ["fit", "--labels", "{split}", "--detections", "{missing}", "--meta", "{meta}"],
+            ["fit", "--labels", "{missing}", "--detections", "{preds}", "--meta", "{meta}"],
+            ["analyze", "--detections", "{preds}", "--meta", "{missing}"],
+            ["analyze", "--detections", "{preds}", "--meta", "{split}"],
+            ["losscheck", "--params", "{missing}"],
+        ],
+        ids=["evaluate-detections", "fit-detections", "fit-labels", "meta", "meta-is-a-directory", "params"],
+    )
+    def test_missing_input_exits_1_when_the_arguments_are_parsed(self, tmp_path, capsys, argv):
+        code, err, out = self._run(tmp_path, capsys, argv, missing=tmp_path / "missing")
+        assert code == 1
+        assert "not found" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, content, want_code, message",
+        [
+            (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 100,', 2, "invalid metadata JSON"),
+            (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 100, "video_id": "\xff"}', 2, "invalid metadata JSON"),
+            (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b"[" * 100_000, 2, "invalid metadata JSON"),
+            (["analyze", "--detections", "{preds}", "--meta", "{meta}", "--classes", "{bad}"], b"logo\n\xff\n", 2, "line 2: invalid UTF-8"),
+            (["losscheck", "--params", "{bad}"], b'{"gamma": 2.0', 1, "invalid loss parameter JSON"),
+            (["losscheck", "--params", "{bad}"], b"[" * 100_000, 1, "invalid loss parameter JSON"),
+        ],
+        ids=["meta-syntax", "meta-utf8", "meta-nesting", "classes-utf8", "params-syntax", "params-nesting"],
+    )
+    def test_undecodable_config_file(self, tmp_path, capsys, argv, content, want_code, message):
+        bad = tmp_path / "bad"
+        bad.write_bytes(content)
+        code, err, out = self._run(tmp_path, capsys, argv, bad=bad)
+        assert code == want_code
+        assert f"error: {bad}: " in err and message in err
+        assert not out.exists()
+
+
+class TestLabelFileFaults:
+    """A label line that is not UTF-8 is a skipped line, and an entry of labels/ that is not a file is ignored."""
+
+    QUAD = quad_from_rect(20, 20, 10, 6, 0)
+    COUNTS = {  # the one good label and the one prediction, in frame a
+        "evaluate": {
+            "ground_truth_parsed": 1, "ground_truth_skipped": 0, "predictions_parsed": 1, "predictions_skipped": 0,
+            "predictions_unmatched_frame": 0, "predictions_evaluated": 1, "ground_truth_evaluated": 1,
+        },
+        "fit": {
+            "gt_samples": 1, "pred_samples": 1, "ground_truth_parsed": 1, "ground_truth_skipped": 0,
+            "predictions_parsed": 1, "predictions_skipped": 0,
+        },
+    }  # fmt: skip
+    NO_LABEL = "image b.jpg has no label file (treated as empty)"
+
+    def _split(self, tmp_path: Path, fault: str) -> tuple[Path, Path]:
+        split = tmp_path / "data" / "test"
+        (split / "images").mkdir(parents=True)
+        (split / "labels").mkdir(parents=True)
+        good = label_line(0, self.QUAD) + "\n"
+        for stem in ("a", "b"):
+            (split / "images" / f"{stem}.jpg").write_bytes(b"")
+        if fault == "invalid-utf8":  # nine fields, the class id a byte that is not UTF-8
+            (split / "labels" / "a.txt").write_bytes((good + good.replace("0", "\xff", 1)).encode("latin-1"))
+        else:
+            (split / "labels" / "a.txt").write_text(good)
+            (split / "labels" / "b.txt").mkdir()
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(detection_line("a", 0, 0, self.QUAD, 0.9) + "\n")
+        return split, preds
+
+    def _run(self, tmp_path, capsys, fault: str, command: str, strict: bool):
+        split, preds = self._split(tmp_path, fault)
+        argv = [command, "--labels", str(split), "--detections", str(preds), "--width", "100", "--height", "100"]
+        code = main([*argv, "--out", str(tmp_path / "out"), *(["--strict"] if strict else [])])
+        captured = capsys.readouterr()
+        assert "internal error" not in captured.err
+        return code, captured, split / "labels" / "a.txt"
+
+    @pytest.mark.parametrize("command", ["evaluate", "fit"])
+    @pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+    def test_invalid_utf8_line_is_skipped(self, tmp_path, capsys, command, strict):
+        code, captured, label_file = self._run(tmp_path, capsys, "invalid-utf8", command, strict)
+        if strict:
+            assert code == 2
+            assert f"error: {label_file}: line 2: invalid UTF-8" in captured.err
+            return
+        assert code == 0
+        report = json.loads(captured.out)
+        assert report["counts"] == {**self.COUNTS[command], "ground_truth_skipped": 1}
+        assert report["warnings"] == [self.NO_LABEL, f"{label_file}:2: skipped: invalid UTF-8"]
+
+    @pytest.mark.parametrize("command", ["evaluate", "fit"])
+    @pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+    def test_directory_in_labels_is_ignored(self, tmp_path, capsys, command, strict):
+        code, captured, _ = self._run(tmp_path, capsys, "directory", command, strict)
+        assert code == 0
+        report = json.loads(captured.out)
+        assert report["counts"] == self.COUNTS[command]
+        assert report["warnings"] == [self.NO_LABEL]
+
+
 class TestChunkBoundaries:
     """Line numbers and counts across chunks, for every text-mode line end, at any chunk size and job count."""
 
