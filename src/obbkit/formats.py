@@ -699,11 +699,12 @@ def _text_lines(path: str | Path, offset: int = 0, n_lines: int | None = None) -
     """Up to ``n_lines`` text-mode lines of a file from a byte offset (all with None), and the indices of those holding bytes that are not UTF-8.
 
     Only a strict UTF-8 read that fails is made again with surrogateescape, which keeps each bad byte as a lone surrogate.
+    A read from offset 0 drops a leading byte-order mark; a U+FEFF anywhere else stays in its line.
     """
     for errors in ("strict", "surrogateescape"):
         with open(path, "rb") as raw:
             raw.seek(offset)
-            with io.TextIOWrapper(raw, encoding="utf-8", errors=errors) as text:
+            with io.TextIOWrapper(raw, encoding="utf-8" if offset else "utf-8-sig", errors=errors) as text:
                 try:
                     lines = list(islice(text, n_lines))
                 except UnicodeDecodeError:  # raised by the strict read only

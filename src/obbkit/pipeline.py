@@ -17,6 +17,7 @@ import logging
 import os
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -52,10 +53,32 @@ class RunReport:
     def to_payload(self) -> dict:
         return asdict(self)
 
-    def write(self, out_dir: Path) -> Path:
-        path = out_dir / "run_report.json"
-        write_json_report(path, self.to_payload())
+    def output(self, path: Path) -> Path:
+        """``path``, listed in ``outputs`` as a report file of this run."""
+        self.outputs.append(str(path))
         return path
+
+
+@contextmanager
+def _run(command: str, out_dir: Path | None, config_echo: dict | None):
+    """One command run: makes ``out_dir`` and yields the RunReport that the body fills in.
+
+    When the body succeeds, the report gets its duration and is written
+    to ``<out_dir>/run_report.json``.  Without an ``out_dir`` nothing is
+    written.  An ``out_dir`` that cannot be made (a file at it or above
+    it) is a ConfigError, raised before the body reads any input.
+    """
+    t0 = time.perf_counter()
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
+    report = RunReport(command=command, config=config_echo or {})
+    yield report
+    report.duration_s = time.perf_counter() - t0
+    if out_dir is not None:
+        write_json_report(out_dir / "run_report.json", report.to_payload())
 
 
 def _map_ordered(worker, tasks, jobs: int):
@@ -153,83 +176,74 @@ def _analyze_chunk(task) -> _ChunkResult:
 
 def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunReport:
     """Detections stream -> brand metrics, timeline and ranking reports."""
-    t0 = time.perf_counter()
-    report = RunReport(command="analyze", config=config_echo or {})
     if not cfg.detections.is_file():
         raise ConfigError(f"detections file not found: {cfg.detections}")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    with _run("analyze", cfg.out_dir, config_echo) as report:
+        tasks = (
+            (cfg.detections, *span, cfg.meta, cfg.class_map, cfg.conf_threshold, cfg.strict)
+            for span in line_ranges(cfg.detections, CHUNK_LINES)
+        )
+        chunks = list(_map_ordered(_analyze_chunk, tasks, cfg.jobs))
+        frames = np.concatenate([np.zeros(0, np.int64), *(c.frames for c in chunks)])
+        classes = np.concatenate([np.zeros(0, np.int64), *(c.classes for c in chunks)])
+        areas = np.concatenate([np.zeros(0), *(c.areas for c in chunks)])
+        for c in chunks:
+            c.frames = c.classes = c.areas = None
 
-    tasks = (
-        (cfg.detections, *span, cfg.meta, cfg.class_map, cfg.conf_threshold, cfg.strict)
-        for span in line_ranges(cfg.detections, CHUNK_LINES)
-    )
-    chunks = list(_map_ordered(_analyze_chunk, tasks, cfg.jobs))
-    frames = np.concatenate([np.zeros(0, np.int64), *(c.frames for c in chunks)])
-    classes = np.concatenate([np.zeros(0, np.int64), *(c.classes for c in chunks)])
-    areas = np.concatenate([np.zeros(0), *(c.areas for c in chunks)])
-    for c in chunks:
-        c.frames = c.classes = c.areas = None
+        n_records = sum(c.n_records for c in chunks)
+        n_skipped = sum(c.n_skipped for c in chunks)
+        n_below = sum(c.n_below_conf for c in chunks)
+        for c in chunks:
+            report.warnings.extend(c.warnings)
+        max_frame = max((c.max_frame for c in chunks), default=-1)
 
-    n_records = sum(c.n_records for c in chunks)
-    n_skipped = sum(c.n_skipped for c in chunks)
-    n_below = sum(c.n_below_conf for c in chunks)
-    for c in chunks:
-        report.warnings.extend(c.warnings)
-    max_frame = max((c.max_frame for c in chunks), default=-1)
+        n_frames = cfg.meta.frame_count
+        if n_frames <= 0:
+            n_frames = max_frame + 1
+            if n_frames > 0:
+                report.warnings.append(f"frame count not provided; inferred {n_frames} from detections")
+                distinct = _distinct(np.concatenate([c.distinct_frames for c in chunks])).size
+                if distinct * SPARSE_FRAME_RATIO < n_frames:
+                    report.warnings.append(
+                        f"inferred frame count {n_frames} is over {SPARSE_FRAME_RATIO}x the {distinct} distinct "
+                        "frames with detections; check for an outlier frame index"
+                    )
+        if n_records == 0:
+            report.warnings.append("empty detections input; reports contain no brands")
+        video_ids = list(dict.fromkeys(v for c in chunks for v in c.video_ids))[:VIDEO_ID_SAMPLES]
+        if len(video_ids) > 1:
+            logger.warning(
+                "detections of more than one video are merged into one timeline: %s",
+                ", ".join(map(repr, video_ids)),
+            )
 
-    n_frames = cfg.meta.frame_count
-    if n_frames <= 0:
-        n_frames = max_frame + 1
-        if n_frames > 0:
-            report.warnings.append(f"frame count not provided; inferred {n_frames} from detections")
-            distinct = _distinct(np.concatenate([c.distinct_frames for c in chunks])).size
-            if distinct * SPARSE_FRAME_RATIO < n_frames:
-                report.warnings.append(
-                    f"inferred frame count {n_frames} is over {SPARSE_FRAME_RATIO}x the {distinct} distinct "
-                    "frames with detections; check for an outlier frame index"
-                )
-    if n_records == 0:
-        report.warnings.append("empty detections input; reports contain no brands")
-    video_ids = list(dict.fromkeys(v for c in chunks for v in c.video_ids))[:VIDEO_ID_SAMPLES]
-    if len(video_ids) > 1:
-        logger.warning(
-            "detections of more than one video are merged into one timeline: %s",
-            ", ".join(map(repr, video_ids)),
+        brand_metrics, timeline, ranking = metrics.reduce_coverage(
+            frames, classes, areas, cfg.meta, n_frames, cfg.top_k, cfg.min_run, cfg.max_gap
         )
 
-    brand_metrics, timeline, ranking = metrics.reduce_coverage(
-        frames, classes, areas, cfg.meta, n_frames, cfg.top_k, cfg.min_run, cfg.max_gap
-    )
+        names = {i: cfg.class_map.name_of(i) for i in range(len(cfg.class_map))} if cfg.class_map else None
+        fmt, out = cfg.fmt, cfg.out_dir
+        rows = metrics.metrics_rows(brand_metrics, names)
+        write_table(report.output(out / f"brand_metrics.{fmt}"), metrics.BRAND_METRICS_FIELDS, rows, fmt)
+        timeline_columns = dict(zip(metrics.TIMELINE_FIELDS, (timeline.brands, timeline.frames, timeline.c)))
+        write_table(report.output(out / f"timeline.{fmt}"), metrics.TIMELINE_FIELDS, timeline_columns, fmt)
+        write_table(report.output(out / f"ranking.{fmt}"), metrics.RANKING_FIELDS, metrics.ranking_rows(ranking, names), fmt)
 
-    names = {i: cfg.class_map.name_of(i) for i in range(len(cfg.class_map))} if cfg.class_map else None
-    fmt = cfg.fmt
-    suffix = "csv" if fmt == "csv" else "json"
-    out_metrics = cfg.out_dir / f"brand_metrics.{suffix}"
-    out_timeline = cfg.out_dir / f"timeline.{suffix}"
-    out_ranking = cfg.out_dir / f"ranking.{suffix}"
-    timeline_columns = dict(zip(metrics.TIMELINE_FIELDS, (timeline.brands, timeline.frames, timeline.c)))
-    write_table(out_metrics, metrics.BRAND_METRICS_FIELDS, metrics.metrics_rows(brand_metrics, names), fmt)
-    write_table(out_timeline, metrics.TIMELINE_FIELDS, timeline_columns, fmt)
-    write_table(out_ranking, metrics.RANKING_FIELDS, metrics.ranking_rows(ranking, names), fmt)
-    report.outputs = [str(out_metrics), str(out_timeline), str(out_ranking)]
-
-    used = n_records - n_skipped - n_below
-    report.counts = {
-        "records_total": n_records,
-        "records_accepted": n_records - n_skipped,
-        "records_skipped": n_skipped,
-        "records_below_confidence": n_below,
-        "records_used": used,
-        "frames": n_frames,
-        "brands": len(brand_metrics),
-    }
-    report.summary = {
-        "top_brands": [
-            {"brand_id": b, "exposure_s": e} for b, e in ranking
-        ]
-    }
-    report.duration_s = time.perf_counter() - t0
-    report.write(cfg.out_dir)
+        used = n_records - n_skipped - n_below
+        report.counts = {
+            "records_total": n_records,
+            "records_accepted": n_records - n_skipped,
+            "records_skipped": n_skipped,
+            "records_below_confidence": n_below,
+            "records_used": used,
+            "frames": n_frames,
+            "brands": len(brand_metrics),
+        }
+        report.summary = {
+            "top_brands": [
+                {"brand_id": b, "exposure_s": e} for b, e in ranking
+            ]
+        }
     return report
 
 
@@ -272,65 +286,54 @@ def run_evaluate(cfg: EvaluateConfig, config_echo: dict | None = None) -> RunRep
     The split's labels are read once into columns, and so are the
     predictions, chunk by chunk, with their quads in canonical order.
     """
-    t0 = time.perf_counter()
-    report = RunReport(command="evaluate", config=config_echo or {})
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    n_classes = len(cfg.class_map) if cfg.class_map else None
-    labels = read_split_labels(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings)
-    if not labels.classes.size:
-        raise DataError(f"no ground-truth instances under {cfg.labels_dir}")
-    chunks = list(_detection_chunks(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings))
-    video_ids = [v for c in chunks for v in c.video_ids]
-    classes = [k for c in chunks for k in c.classes]
-    confs = [x for c in chunks for x in c.confs]
-    quads = np.concatenate([np.zeros((0, 4, 2)), *(canonical_order(c.quads) for c in chunks)])
-    stems = set(labels.stems)
-    n_unmatched, named = 0, []  # named: the first UNMATCHED_SAMPLES distinct unmatched ids, in line order
-    for video_id in video_ids:
-        if video_id not in stems:
-            n_unmatched += 1
-            if len(named) < UNMATCHED_SAMPLES and video_id not in named:
-                named.append(video_id)
-    if n_unmatched:
-        if cfg.strict:
-            raise DataError(f"prediction video_id {named[0]!r} matches no frame under {cfg.labels_dir}")
-        report.warnings.append(
-            f"{n_unmatched} predictions match no frame (video_id is not a label stem), "
-            f"counted as false positives: {', '.join(map(repr, named))}"
+    with _run("evaluate", cfg.out_dir, config_echo) as report:
+        n_classes = len(cfg.class_map) if cfg.class_map else None
+        labels = read_split_labels(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings)
+        if not labels.classes.size:
+            raise DataError(f"no ground-truth instances under {cfg.labels_dir}")
+        chunks = list(_detection_chunks(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings))
+        video_ids = [v for c in chunks for v in c.video_ids]
+        classes = [k for c in chunks for k in c.classes]
+        confs = [x for c in chunks for x in c.confs]
+        quads = np.concatenate([np.zeros((0, 4, 2)), *(canonical_order(c.quads) for c in chunks)])
+        stems = set(labels.stems)
+        unmatched = [v for v in video_ids if v not in stems]
+        n_unmatched, named = len(unmatched), list(dict.fromkeys(unmatched))[:UNMATCHED_SAMPLES]
+        if n_unmatched:
+            if cfg.strict:
+                raise DataError(f"prediction video_id {named[0]!r} matches no frame under {cfg.labels_dir}")
+            report.warnings.append(
+                f"{n_unmatched} predictions match no frame (video_id is not a label stem), "
+                f"counted as false positives: {', '.join(map(repr, named))}"
+            )
+
+        audit = evaluation.MatchAudit()
+        result = evaluation.evaluate_columns(
+            labels, video_ids, classes, confs, quads, iou_threshold=cfg.iou_threshold, box_mode=cfg.box_mode,
+            conf_threshold=cfg.conf_threshold, interpolation=cfg.interpolation, audit=audit,
         )
+        report.warnings.extend(audit.notes)
 
-    audit = evaluation.MatchAudit()
-    result = evaluation.evaluate_columns(
-        labels, video_ids, classes, confs, quads, iou_threshold=cfg.iou_threshold, box_mode=cfg.box_mode,
-        conf_threshold=cfg.conf_threshold, interpolation=cfg.interpolation, audit=audit,
-    )
-    report.warnings.extend(audit.notes)
-
-    names = {i: cfg.class_map.name_of(i) for i in range(len(cfg.class_map))} if cfg.class_map else None
-    if cfg.fmt == "json":
-        out_path = cfg.out_dir / "eval.json"
-        write_json_report(out_path, result.to_payload(names))
-    else:
-        out_path = cfg.out_dir / "eval.csv"
-        write_table(out_path, evaluation.EVAL_TABLE_FIELDS, result.to_rows(), "csv")
-    report.outputs = [str(out_path)]
-    report.counts = {
-        "ground_truth_parsed": int(labels.classes.size),
-        "ground_truth_skipped": labels.n_skipped,
-        "predictions_parsed": len(video_ids),
-        "predictions_skipped": sum(c.n_skipped for c in chunks),
-        "predictions_unmatched_frame": n_unmatched,
-        "predictions_evaluated": result.n_predictions,
-        "ground_truth_evaluated": result.n_ground_truth,
-    }
-    report.summary = {
-        "map50": result.map50,
-        "precision": result.precision,
-        "recall": result.recall,
-        "operating_confidence": result.operating_confidence,
-    }
-    report.duration_s = time.perf_counter() - t0
-    report.write(cfg.out_dir)
+        names = {i: cfg.class_map.name_of(i) for i in range(len(cfg.class_map))} if cfg.class_map else None
+        if cfg.fmt == "json":
+            write_json_report(report.output(cfg.out_dir / "eval.json"), result.to_payload(names))
+        else:
+            write_table(report.output(cfg.out_dir / "eval.csv"), evaluation.EVAL_TABLE_FIELDS, result.to_rows(), "csv")
+        report.counts = {
+            "ground_truth_parsed": int(labels.classes.size),
+            "ground_truth_skipped": labels.n_skipped,
+            "predictions_parsed": len(video_ids),
+            "predictions_skipped": sum(c.n_skipped for c in chunks),
+            "predictions_unmatched_frame": n_unmatched,
+            "predictions_evaluated": result.n_predictions,
+            "ground_truth_evaluated": result.n_ground_truth,
+        }
+        report.summary = {
+            "map50": result.map50,
+            "precision": result.precision,
+            "recall": result.recall,
+            "operating_confidence": result.operating_confidence,
+        }
     return report
 
 
@@ -360,61 +363,52 @@ class FitConfig:
 
 def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
     """Tightness-ratio vs orientation tables for labels and/or predictions."""
-    t0 = time.perf_counter()
-    report = RunReport(command="fit", config=config_echo or {})
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    with _run("fit", cfg.out_dir, config_echo) as report:
+        gt_samples: list[tightness.TRSample] = []
+        pred_samples: list[tightness.TRSample] = []
+        n_gt_parsed = n_gt_skipped = n_pred_skipped = 0
+        n_classes = len(cfg.class_map) if cfg.class_map else None
+        if cfg.labels_dir is not None:
+            labels = read_split_labels(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings)
+            n_gt_parsed, n_gt_skipped = int(labels.classes.size), labels.n_skipped
+            report.warnings.extend(
+                f"{labels.stems[f]}: degenerate ground truth excluded from TR analysis"
+                for f in labels.frames[labels.degenerate].tolist()
+            )
+            live = ~labels.degenerate
+            quads, classes = labels.quads[live], labels.classes[live].tolist()
+            # blocks bound the batch kernels' temporaries: one call over 20k boxes raised peak RSS by about 5 MiB
+            for i in range(0, len(classes), CHUNK_LINES):
+                gt_samples.extend(tightness.tr_sample(quads[i : i + CHUNK_LINES], "ground_truth", classes[i : i + CHUNK_LINES]))
+        if cfg.detections is not None:
+            for chunk in _detection_chunks(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings):
+                n_pred_skipped += chunk.n_skipped
+                pred_samples.extend(tightness.tr_sample(canonical_order(chunk.quads), "prediction", chunk.classes))
+        if not gt_samples and not pred_samples:
+            raise DataError("no valid samples for TR analysis")
 
-    gt_samples: list[tightness.TRSample] = []
-    pred_samples: list[tightness.TRSample] = []
-    n_gt_parsed = n_gt_skipped = n_pred_skipped = 0
-    n_classes = len(cfg.class_map) if cfg.class_map else None
-    if cfg.labels_dir is not None:
-        labels = read_split_labels(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings)
-        n_gt_parsed, n_gt_skipped = int(labels.classes.size), labels.n_skipped
-        report.warnings.extend(
-            f"{labels.stems[f]}: degenerate ground truth excluded from TR analysis"
-            for f in labels.frames[labels.degenerate].tolist()
-        )
-        live = ~labels.degenerate
-        quads, classes = labels.quads[live], labels.classes[live].tolist()
-        # blocks bound the batch kernels' temporaries: one call over 20k boxes raised peak RSS by about 5 MiB
-        for i in range(0, len(classes), CHUNK_LINES):
-            gt_samples.extend(tightness.tr_sample(quads[i : i + CHUNK_LINES], "ground_truth", classes[i : i + CHUNK_LINES]))
-    if cfg.detections is not None:
-        for chunk in _detection_chunks(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings):
-            n_pred_skipped += chunk.n_skipped
-            pred_samples.extend(tightness.tr_sample(canonical_order(chunk.quads), "prediction", chunk.classes))
-    if not gt_samples and not pred_samples:
-        raise DataError("no valid samples for TR analysis")
+        widths = [cfg.bin_width] if cfg.bin_width is not None else [15.0, 5.0]
+        sources = {"ground_truth": gt_samples, "prediction": pred_samples}
+        overall_gaps: dict[str, float | None] = {}
+        for width in widths:
+            tag = format(width, "g")
+            bins = {source: tightness.bin_by_orientation(samples, width) for source, samples in sources.items() if samples}
+            rows = [row for source, stat_list in bins.items() for row in tightness.bin_rows(stat_list, source)]
+            write_table(report.output(cfg.out_dir / f"tr_bins_bw{tag}.{cfg.fmt}"), tightness.TR_BIN_FIELDS, rows, cfg.fmt)
+            if len(bins) == 2:
+                gap_rows, overall = tightness.gap_rows(bins["ground_truth"], bins["prediction"])
+                write_table(report.output(cfg.out_dir / f"tr_gap_bw{tag}.{cfg.fmt}"), tightness.TR_GAP_FIELDS, gap_rows, cfg.fmt)
+                overall_gaps[tag] = overall
 
-    widths = [cfg.bin_width] if cfg.bin_width is not None else [15.0, 5.0]
-    sources = {"ground_truth": gt_samples, "prediction": pred_samples}
-    overall_gaps: dict[str, float | None] = {}
-    for width in widths:
-        tag = format(width, "g")
-        bins = {source: tightness.bin_by_orientation(samples, width) for source, samples in sources.items() if samples}
-        rows = [row for source, stat_list in bins.items() for row in tightness.bin_rows(stat_list, source)]
-        out_bins = cfg.out_dir / f"tr_bins_bw{tag}.{cfg.fmt}"
-        write_table(out_bins, tightness.TR_BIN_FIELDS, rows, cfg.fmt)
-        report.outputs.append(str(out_bins))
-        if len(bins) == 2:
-            gap_rows, overall = tightness.gap_rows(bins["ground_truth"], bins["prediction"])
-            out_gap = cfg.out_dir / f"tr_gap_bw{tag}.{cfg.fmt}"
-            write_table(out_gap, tightness.TR_GAP_FIELDS, gap_rows, cfg.fmt)
-            report.outputs.append(str(out_gap))
-            overall_gaps[tag] = overall
-
-    report.counts = {
-        "gt_samples": len(gt_samples),
-        "pred_samples": len(pred_samples),
-        "ground_truth_parsed": n_gt_parsed,
-        "ground_truth_skipped": n_gt_skipped,
-        "predictions_parsed": len(pred_samples),
-        "predictions_skipped": n_pred_skipped,
-    }
-    report.summary = {"overall_mean_abs_gap": overall_gaps}
-    report.duration_s = time.perf_counter() - t0
-    report.write(cfg.out_dir)
+        report.counts = {
+            "gt_samples": len(gt_samples),
+            "pred_samples": len(pred_samples),
+            "ground_truth_parsed": n_gt_parsed,
+            "ground_truth_skipped": n_gt_skipped,
+            "predictions_parsed": len(pred_samples),
+            "predictions_skipped": n_pred_skipped,
+        }
+        report.summary = {"overall_mean_abs_gap": overall_gaps}
     return report
 
 
@@ -428,23 +422,14 @@ class LossCheckConfig:
     out_dir: Path | None = None
 
 
-def run_losscheck(cfg: LossCheckConfig, config_echo: dict | None = None) -> tuple[RunReport, bool]:
-    """Run the loss fixture suite; returns (report, all_passed)."""
-    t0 = time.perf_counter()
-    report = RunReport(command="losscheck", config=config_echo or {})
-    checks = run_loss_checks(cfg.params)
-    all_passed = all(c.passed for c in checks)
-    report.counts = {
-        "checks_total": len(checks),
-        "checks_passed": sum(1 for c in checks if c.passed),
-        "checks_failed": sum(1 for c in checks if not c.passed),
-    }
-    report.summary = {"checks": [asdict(c) for c in checks]}
-    report.duration_s = time.perf_counter() - t0
-    if cfg.out_dir is not None:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        report.write(cfg.out_dir)
-    return report, all_passed
+def run_losscheck(cfg: LossCheckConfig, config_echo: dict | None = None) -> RunReport:
+    """Run the loss fixture suite; ``counts["checks_failed"]`` is 0 when every fixture passes."""
+    with _run("losscheck", cfg.out_dir, config_echo) as report:
+        checks = run_loss_checks(cfg.params)
+        n_passed = sum(c.passed for c in checks)
+        report.counts = {"checks_total": len(checks), "checks_passed": n_passed, "checks_failed": len(checks) - n_passed}
+        report.summary = {"checks": [asdict(c) for c in checks]}
+    return report
 
 
 def default_jobs() -> int:

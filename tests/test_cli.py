@@ -439,6 +439,19 @@ class TestConfigValidation:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flag", [["--fps", "25"], ["--frames", "100"]])
+    @pytest.mark.parametrize("command", ["evaluate", "fit"])
+    def test_fps_and_frames_are_analyze_only(self, tmp_path, command, flag, capsys):
+        split, preds = make_eval_tree(tmp_path)
+        out = tmp_path / "out"
+        argv = [command, "--labels", str(split), "--detections", str(preds), "--width", "100", "--height", "100"]
+        assert main([*argv, *flag, "--out", str(out)]) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--fps" not in capsys.readouterr().out
+
     def test_library_configs(self, tmp_path):
         base = dict(labels_dir=tmp_path, detections=tmp_path / "p.jsonl", meta=FrameMeta(100.0, 100.0), out_dir=tmp_path / "o")
         EvaluateConfig(**base, box_mode="hbb", conf_threshold=0.0, interpolation="11point")
@@ -737,6 +750,14 @@ class TestLosscheck:
         payload = json.loads((out / "run_report.json").read_text())
         assert payload["counts"]["checks_failed"] == 0
 
+    def test_failing_report_written(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["losscheck", "--alpha", "0.8", "--out", str(out)]) == 1
+        assert "[FAIL] vfl(p=0.5, y=0)" in capsys.readouterr().out
+        payload = json.loads((out / "run_report.json").read_text())
+        assert payload["counts"]["checks_failed"] > 0
+        assert payload["outputs"] == []
+
     def test_bad_param_file_exit_1(self, tmp_path):
         params = tmp_path / "params.json"
         params.write_text(json.dumps({"beta": 1.0}))
@@ -963,6 +984,120 @@ class TestInputFiles:
         assert code == want_code
         assert f"error: {bad}: " in err and message in err
         assert not out.exists()
+
+
+class TestOutDirectory:
+    """An --out that is a file, or lies under one, is a configuration error raised before any input is read."""
+
+    ARGV = {
+        "analyze": ["analyze", "--detections", "{preds}", "--meta", "{meta}"],
+        "evaluate": ["evaluate", "--labels", "{split}", "--detections", "{preds}", "--meta", "{meta}"],
+        "fit": ["fit", "--labels", "{split}", "--detections", "{preds}", "--meta", "{meta}"],
+        "losscheck": ["losscheck"],
+    }
+
+    def _argv(self, tmp_path, command: str, bad_first_line: bool = False) -> list[str]:
+        split, preds = make_eval_tree(tmp_path)
+        if bad_first_line:
+            preds.write_text("{not json\n" + preds.read_text())
+        paths = {"split": split, "preds": preds, "meta": write_meta(tmp_path / "meta.json")}
+        return [arg.format(**paths) for arg in self.ARGV[command]]
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_exits_1(self, tmp_path, capsys, command, below):
+        blocker = tmp_path / "outfile"
+        blocker.write_text("keep")
+        out = blocker / "sub" if below else blocker
+        assert main([*self._argv(tmp_path, command), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: cannot make output directory {out}: " in captured.err
+        assert "internal error" not in captured.err
+        assert captured.out == ""
+        assert blocker.read_text() == "keep"
+
+    @pytest.mark.parametrize("command", ["analyze", "evaluate"])
+    def test_checked_before_the_first_detection_line(self, tmp_path, capsys, command):
+        blocker = tmp_path / "outfile"
+        blocker.write_text("")
+        argv = [*self._argv(tmp_path, command, bad_first_line=True), "--strict"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2  # reading the first line fails
+        assert main([*argv, "--out", str(blocker)]) == 1
+        assert "internal error" not in capsys.readouterr().err
+
+
+class TestOutputs:
+    """A fresh --out holds the run report's outputs, listed in their documented order, and run_report.json."""
+
+    def _check(self, capsys, out: Path, names: list[str]) -> None:
+        report = json.loads(capsys.readouterr().out)
+        assert report["outputs"] == [str(out / name) for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*names, "run_report.json"])
+        assert json.loads((out / "run_report.json").read_text()) == report
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_analyze(self, toy_analyze, capsys, fmt):
+        dets, meta, out = toy_analyze
+        assert main(["analyze", "--detections", str(dets), "--meta", str(meta), "--format", fmt, "--out", str(out)]) == 0
+        self._check(capsys, out, [f"brand_metrics.{fmt}", f"timeline.{fmt}", f"ranking.{fmt}"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_evaluate(self, tmp_path, capsys, fmt):
+        split, preds = make_eval_tree(tmp_path)
+        out = tmp_path / "out"
+        argv = ["evaluate", "--labels", str(split), "--detections", str(preds), "--width", "100", "--height", "100"]
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        self._check(capsys, out, [f"eval.{fmt}"])
+
+    @pytest.mark.parametrize("widths", [[], ["--bin-width", "5"]], ids=["both-widths", "one-width"])
+    @pytest.mark.parametrize("both_sources", [False, True], ids=["labels", "labels-and-predictions"])
+    def test_fit(self, tmp_path, capsys, widths, both_sources):
+        split, preds = make_fit_tree(tmp_path)
+        out = tmp_path / "out"
+        side = format(FIT_SIDE, "g")
+        argv = ["fit", "--labels", str(split), "--width", side, "--height", side, "--out", str(out), *widths]
+        assert main([*argv, *(["--detections", str(preds)] if both_sources else [])]) == 0
+        tables = ["bins", "gap"] if both_sources else ["bins"]
+        self._check(capsys, out, [f"tr_{t}_bw{tag}.csv" for tag in (widths[1:] or ["15", "5"]) for t in tables])
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a label file, class map or detection stream is ignored."""
+
+    BOM = "\ufeff"
+    QUAD = quad_from_rect(20, 20, 10, 6, 0)
+
+    def test_evaluate_split_class_map_and_stream(self, tmp_path, capsys):
+        split = tmp_path / "split"
+        (split / "images").mkdir(parents=True)
+        (split / "labels").mkdir()
+        (split / "images" / "a.jpg").write_bytes(b"")
+        (split / "labels" / "a.txt").write_text(self.BOM + label_line(0, self.QUAD) + "\n", encoding="utf-8")
+        classes = tmp_path / "classes.txt"
+        classes.write_text(self.BOM + "logo\n", encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(self.BOM + detection_line("a", 0, "logo", self.QUAD, 0.9) + "\n", encoding="utf-8")
+        argv = ["evaluate", "--labels", str(split), "--detections", str(preds), "--classes", str(classes)]
+        assert main([*argv, "--width", "100", "--height", "100", "--out", str(tmp_path / "out")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["warnings"] == []
+        assert report["counts"]["ground_truth_parsed"] == report["counts"]["predictions_parsed"] == 1
+        assert report["summary"]["map50"] == 1.0
+
+    def test_analyze_in_workers(self, toy_analyze, capsys, monkeypatch):
+        dets, meta, out = toy_analyze
+        with_bom = dets.with_name("bom.jsonl")
+        with_bom.write_text(self.BOM + dets.read_text(), encoding="utf-8")
+        monkeypatch.setattr(pipeline, "CHUNK_LINES", 1)  # the second chunk starts at a byte offset past the mark
+        reports = []
+        for path, name in ((dets, "plain"), (with_bom, "bom")):
+            argv = ["analyze", "--detections", str(path), "--meta", str(meta), "--jobs", "2"]
+            assert main([*argv, "--out", str(out / name)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[1]["counts"] == reports[0]["counts"] and reports[1]["counts"]["records_skipped"] == 0
+        assert reports[1]["warnings"] == reports[0]["warnings"]
+        for name in reports[0]["outputs"]:
+            assert (out / "bom" / Path(name).name).read_bytes() == Path(name).read_bytes()
 
 
 class TestLabelFileFaults:

@@ -11,11 +11,14 @@ from obbkit.formats import (
     ClassMap,
     FrameMeta,
     iter_detections,
+    line_ranges,
     load_class_map,
     load_split,
     parse_detection_chunk,
     parse_obb_label_line,
+    read_detection_range,
     read_label_file,
+    read_split_labels,
     serialize_obb_label_line,
     write_table,
 )
@@ -453,6 +456,38 @@ class TestLabelFile:
             assert gt.degenerate == degenerate
             one = parse_obb_label_line(line, meta)
             assert one.quad.tobytes() == gt.quad.tobytes() and one.degenerate == gt.degenerate
+
+
+class TestByteOrderMark:
+    """Every text reader drops a UTF-8 byte-order mark at the start of its file; a U+FEFF anywhere else stays a fault."""
+
+    BOM = "\ufeff"
+
+    def test_label_file(self, tmp_path):
+        root = _make_split(tmp_path, ["f001"])
+        path = root / "test" / "labels" / "f001.txt"
+        line = path.read_text(encoding="utf-8")
+        path.write_text(self.BOM + line + self.BOM + line, encoding="utf-8")
+        warnings: list[str] = []
+        labels = read_split_labels(root / "test", META_100, warnings=warnings)
+        assert (labels.classes.tolist(), labels.line_nos.tolist(), labels.n_skipped) == ([0], [1], 1)
+        assert warnings == [f"{path}:2: skipped: class id must be an integer, got '\\ufeff0'"]
+
+    def test_class_map(self, tmp_path):
+        path = tmp_path / "classes.txt"
+        path.write_text(self.BOM + "acme\nglobex\n", encoding="utf-8")
+        assert load_class_map(path).names == ("acme", "globex")
+
+    @pytest.mark.parametrize("chunk_lines", [1, 2])  # the second line starts a chunk, or lies inside the first
+    def test_detection_stream(self, tmp_path, chunk_lines):
+        line = detection_line("v", 0, 0, quad_from_rect(50, 50, 20, 10, 0), 0.9)
+        path = tmp_path / "stream.jsonl"
+        path.write_text(self.BOM + line + "\n" + self.BOM + line + "\n", encoding="utf-8")
+        chunks = [read_detection_range(path, *span) for span in line_ranges(path, chunk_lines)]
+        assert [v for c in chunks for v in c.video_ids] == ["v"]
+        assert [w for c in chunks for w in c.warnings] == [
+            "line 2: skipped: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        ]
 
 
 class TestReportTables:
