@@ -138,7 +138,7 @@ def _loss_params(args) -> LossParams:
     values = {}
     if args.params is not None:
         try:
-            with open(args.params, encoding="utf-8") as fh:
+            with open(args.params, encoding="utf-8-sig") as fh:
                 loaded = json.load(fh)
         except (ValueError, RecursionError) as exc:  # a JSON syntax error, bytes that are not UTF-8, nesting too deep
             raise ConfigError(f"{args.params}: invalid loss parameter JSON: {exc}") from None

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .formats import Detection, GroundTruth, SplitLabels
-from .geometry import _area, canonical_order, enclosing_bounds, rect_ious, shoelace_areas
+from .geometry import canonical_order, enclosing_bounds, rect_ious, shoelace_areas
 from .geometry import enclosing_hbb  # noqa: F401 - bound for the benchmark's layer tracer
 from .geometry import iou_canonical as iou_obb  # the per-pair kernel, bound under the name the benchmark's layer tracer patches
 
@@ -172,7 +172,8 @@ def _match_split(labels: SplitLabels, video_ids, classes, confs, quads, degenera
     hbb_ious = rect_ious(pb[near], gb[near]).tolist() if box_mode == "hbb" else None
     pair_pred, pair_gt = pair_pred[near], pair_gt[near].tolist()
     del pb, gb  # as long as the unfiltered pairs: dropped before the areas' temporaries
-    gt_areas = shoelace_areas(gt_quads) if hbb_ious is None else None  # the IoU kernel takes both quads' areas
+    if hbb_ious is None:  # the IoU kernel takes both quads' areas
+        pred_areas, gt_areas = shoelace_areas(pred_quads), shoelace_areas(gt_quads)
     cuts = np.searchsorted(pair_pred, np.arange(n + 1))
     rows = np.flatnonzero(np.diff(cuts)).tolist()  # the predictions with a candidate (np.unique would load numpy.ma)
     cuts = cuts.tolist()
@@ -181,8 +182,7 @@ def _match_split(labels: SplitLabels, video_ids, classes, confs, quads, degenera
     taken: set[int] = set()
     for row in rows:
         if hbb_ious is None:
-            quad = pred_quads[row].tolist()
-            area = _area(quad)
+            quad, area = pred_quads[row].tolist(), float(pred_areas[row])
         best_iou, best_gt = 0.0, -1
         for k in range(cuts[row], cuts[row + 1]):
             g = pair_gt[k]

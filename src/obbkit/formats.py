@@ -76,7 +76,7 @@ class FrameMeta:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "FrameMeta":
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 obj = json.load(fh)
         except (ValueError, RecursionError) as exc:  # a JSON syntax error, bytes that are not UTF-8, nesting too deep
             raise DataError(f"{path}: invalid metadata JSON: {exc}") from None

@@ -9,13 +9,18 @@ numpy on a handful of vertices.  iou_canonical, evaluate's per-pair IoU,
 takes quads already in canonical order with their areas; iou_obb orders
 and measures its two quads, then calls it.  The batch kernels (canonical order,
 degeneracy, areas, enclosing bounds, orientation, frame clipping) take
-(n, 4, 2) quad batches, and the one-quad functions wrap them.  Pixel
+(n, 4, 2) quad batches, and the one-quad functions wrap them.  They do
+elementwise arithmetic on the batch's coordinate columns (quads[:, i, 0],
+quads[:, i, 1]), in the order of numpy's reduction over the vertex axis,
+so they keep its bits at a fraction of its cost; only the clipped path
+of clip_areas_to_rect still reduces over a vertex axis.  Pixel
 coordinates only: EDGE_TOL is absolute, so a 1e-5 x 1e-5 (normalized)
 box reads degenerate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -224,18 +229,34 @@ def quad_from_rect(cx: float, cy: float, w: float, h: float, angle_deg: float) -
 # Batch kernels: per-frame coverage, label files, matching and TR analysis.
 
 
-_NEXT = np.array([1, 2, 3, 0])  # successor of each quad vertex; take() is ~10x cheaper than np.roll on 4 rows
+def _columns(quads: np.ndarray) -> tuple[list, list]:
+    """The x and the y column of each vertex of an (n, k, 2) batch: k (n,) views each."""
+    k = range(quads.shape[1])
+    return [quads[:, i, 0] for i in k], [quads[:, i, 1] for i in k]
 
 
 def _signed_areas2(quads: np.ndarray) -> np.ndarray:
-    r = quads - quads[:, :1]
-    x, y = r[..., 0], r[..., 1]
-    return (x * y.take(_NEXT, axis=1) - x.take(_NEXT, axis=1) * y).sum(axis=1)
+    x, y = _columns(quads)
+    x, y = [xi - x[0] for xi in x], [yi - y[0] for yi in y]
+    t = [x[i] * y[(i + 1) % 4] - x[(i + 1) % 4] * y[i] for i in range(4)]
+    return ((t[0] + t[1]) + t[2]) + t[3]  # numpy's order for a sum over a length-4 axis
 
 
 def shoelace_areas(quads: np.ndarray) -> np.ndarray:
     """Unsigned areas of an (n, 4, 2) quad batch, anchored at vertex 0."""
     return np.abs(_signed_areas2(quads)) / 2.0
+
+
+def _vertex_order(ties: int, clockwise: bool) -> list[int]:
+    at_min = [i for i in range(4) if ties >> i & 1]
+    if clockwise:  # the last vertex at the minimum, walking backward: the first one of the reversed quad
+        return [(max(at_min, default=3) - k) % 4 for k in range(4)]
+    return [(min(at_min, default=0) + k) % 4 for k in range(4)]
+
+
+# canonical_order's 8 vertex orders (4 starts x 2 windings), indexed by the 4-bit mask of the vertices
+# at the (y, x) minimum plus 16 for a clockwise quad; an empty mask (NaN) starts as argmax would
+_ORDERS = np.array([_vertex_order(ties, clockwise) for clockwise in (False, True) for ties in range(16)])
 
 
 def canonical_order(quads: np.ndarray) -> np.ndarray:
@@ -246,11 +267,13 @@ def canonical_order(quads: np.ndarray) -> np.ndarray:
     the first such vertex wins ties.  Degenerate quads are reordered by
     the same rule.
     """
-    q = np.where((_signed_areas2(quads) < 0)[:, None, None], quads[:, ::-1], quads)
-    x, y = q[..., 0], q[..., 1]
-    x_low = np.where(y == y.min(axis=1, keepdims=True), x, np.inf)
-    start = np.argmax(x_low == x_low.min(axis=1, keepdims=True), axis=1)
-    return q[np.arange(q.shape[0])[:, None], (start[:, None] + np.arange(4)) % 4]
+    x, y = _columns(quads)
+    y_min = np.minimum(np.minimum(y[0], y[1]), np.minimum(y[2], y[3]))
+    x_low = [np.where(yi == y_min, xi, np.inf) for xi, yi in zip(x, y)]
+    x_min = np.minimum(np.minimum(x_low[0], x_low[1]), np.minimum(x_low[2], x_low[3]))
+    code = 16 * (_signed_areas2(quads) < 0) + sum((xi == x_min) << i for i, xi in enumerate(x_low))
+    rows = _ORDERS.take(code, axis=0) + 4 * np.arange(quads.shape[0])[:, None]
+    return quads.reshape(-1, 2).take(rows, axis=0)  # take: about 10x cheaper than indexing with rows
 
 
 def degenerate_mask(quads: np.ndarray) -> np.ndarray:
@@ -259,16 +282,18 @@ def degenerate_mask(quads: np.ndarray) -> np.ndarray:
     A quad is flagged when its area is ~0 or its consecutive-edge cross
     products take both signs (covers bow-ties and non-convex quads).
     """
-    e = quads.take(_NEXT, axis=1) - quads
-    e_next = e.take(_NEXT, axis=1)
-    cr = e[..., 0] * e_next[..., 1] - e[..., 1] * e_next[..., 0]
-    mixed = (cr > EDGE_TOL).any(axis=1) & (cr < -EDGE_TOL).any(axis=1)
-    return mixed | (shoelace_areas(quads) <= EDGE_TOL)
+    x, y = _columns(quads)
+    ex, ey = [x[(i + 1) % 4] - x[i] for i in range(4)], [y[(i + 1) % 4] - y[i] for i in range(4)]
+    cr = [ex[i] * ey[(i + 1) % 4] - ey[i] * ex[(i + 1) % 4] for i in range(4)]
+    pos = (cr[0] > EDGE_TOL) | (cr[1] > EDGE_TOL) | (cr[2] > EDGE_TOL) | (cr[3] > EDGE_TOL)
+    neg = (cr[0] < -EDGE_TOL) | (cr[1] < -EDGE_TOL) | (cr[2] < -EDGE_TOL) | (cr[3] < -EDGE_TOL)
+    return (pos & neg) | (shoelace_areas(quads) <= EDGE_TOL)
 
 
 def enclosing_bounds(quads: np.ndarray) -> np.ndarray:
     """Enclosing-box bounds (x_min, y_min, x_max, y_max) of an (n, k, 2) batch, as (n, 4)."""
-    return np.concatenate([quads.min(axis=1), quads.max(axis=1)], axis=1)
+    vertices = [quads[:, i] for i in range(quads.shape[1])]
+    return np.concatenate([functools.reduce(np.minimum, vertices), functools.reduce(np.maximum, vertices)], axis=1)
 
 
 def rect_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,14 +310,13 @@ def rect_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def orientations_deg(quads: np.ndarray) -> np.ndarray:
     """obb_orientation_deg of an (n, 4, 2) batch; degenerate quads are not checked."""
-    v = canonical_order(quads)
-    e = v.take(_NEXT, axis=1) - v
-    lengths = np.hypot(e[..., 0], e[..., 1])
-    pair0 = (lengths[:, 0] + lengths[:, 2]) / 2.0
-    pair1 = (lengths[:, 1] + lengths[:, 3]) / 2.0
+    x, y = _columns(canonical_order(quads))
+    ex, ey = [x[(i + 1) % 4] - x[i] for i in range(4)], [y[(i + 1) % 4] - y[i] for i in range(4)]
+    lengths = [np.hypot(exi, eyi) for exi, eyi in zip(ex, ey)]
+    pair0 = (lengths[0] + lengths[2]) / 2.0
+    pair1 = (lengths[1] + lengths[3]) / 2.0
     longer1 = (pair1 > pair0 * (1.0 + 1e-12)) & (pair1 - pair0 > EDGE_TOL)
-    edge = np.where(longer1[:, None], e[:, 1], e[:, 0])
-    ang = np.degrees(np.arctan2(edge[:, 1], edge[:, 0])) % 180.0
+    ang = np.degrees(np.arctan2(np.where(longer1, ey[1], ey[0]), np.where(longer1, ex[1], ex[0]))) % 180.0
     return np.where(ang > 90.0, 180.0 - ang, ang)
 
 
@@ -307,13 +331,8 @@ def clip_areas_to_rect(quads: np.ndarray, rect: RectAA) -> np.ndarray:
     n = quads.shape[0]
     if n == 0:
         return np.zeros(0)
-    xs, ys = quads[..., 0], quads[..., 1]
-    inside = (
-        (xs.min(axis=1) >= rect.x_min)
-        & (xs.max(axis=1) <= rect.x_max)
-        & (ys.min(axis=1) >= rect.y_min)
-        & (ys.max(axis=1) <= rect.y_max)
-    )
+    b = enclosing_bounds(quads)
+    inside = (b[:, 0] >= rect.x_min) & (b[:, 2] <= rect.x_max) & (b[:, 1] >= rect.y_min) & (b[:, 3] <= rect.y_max)
     areas = np.zeros(n)
     if inside.any():
         areas[inside] = shoelace_areas(quads[inside])

@@ -389,10 +389,11 @@ def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
 
         widths = [cfg.bin_width] if cfg.bin_width is not None else [15.0, 5.0]
         sources = {"ground_truth": gt_samples, "prediction": pred_samples}
+        columns = {source: tightness.tr_columns(samples) for source, samples in sources.items() if samples}
         overall_gaps: dict[str, float | None] = {}
         for width in widths:
             tag = format(width, "g")
-            bins = {source: tightness.bin_by_orientation(samples, width) for source, samples in sources.items() if samples}
+            bins = {source: tightness.bin_tr_columns(trs, angles, width) for source, (trs, angles) in columns.items()}
             rows = [row for source, stat_list in bins.items() for row in tightness.bin_rows(stat_list, source)]
             write_table(report.output(cfg.out_dir / f"tr_bins_bw{tag}.{cfg.fmt}"), tightness.TR_BIN_FIELDS, rows, cfg.fmt)
             if len(bins) == 2:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +24,7 @@ TR_BIN_FIELDS = ["source", "bin_lo_deg", "bin_hi_deg", "n", "mean_tr", "ci95_hal
 TR_GAP_FIELDS = ["bin_lo_deg", "bin_hi_deg", "gt_n", "pred_n", "gt_mean_tr", "pred_mean_tr", "abs_gap"]
 
 
-@dataclass(frozen=True)
-class TRSample:
+class TRSample(NamedTuple):
     """Tightness ratio and orientation of one box."""
 
     source: str  # "ground_truth" or "prediction"
@@ -89,7 +90,7 @@ def tr_sample(quads, source: str, class_ids):
         raise GeometryError("tightness ratio undefined for degenerate quad")
     trs = tightness_ratios(batch).tolist()
     angles = orientations_deg(batch).tolist()
-    samples = [TRSample(source, tr, ang, cid) for tr, ang, cid in zip(trs, angles, class_ids, strict=True)]
+    samples = list(map(TRSample._make, zip([source] * len(trs), trs, angles, class_ids, strict=True)))
     return samples[0] if one else samples
 
 
@@ -103,31 +104,45 @@ def check_bin_width(bin_width_deg: float) -> int:
     return int(round(n_bins))
 
 
-def bin_by_orientation(samples: list[TRSample], bin_width_deg: float = 15.0) -> list[TRBinStat]:
-    """Group samples into [lo, hi) orientation bins over 0..90 degrees.
+def tr_columns(samples: list[TRSample]) -> tuple[np.ndarray, np.ndarray]:
+    """The tr and orientation_deg columns of a sample list, as float64 arrays."""
+    _, trs, angles, _ = zip(*samples) if samples else ((),) * 4
+    return np.array(trs, np.float64), np.array(angles, np.float64)
 
-    The final bin includes 90 degrees.  CI half-width is 1.96 * s/sqrt(n)
-    with the sample standard deviation; bins with n < 2 report no CI.
+
+def bin_by_orientation(samples: list[TRSample], bin_width_deg: float = 15.0) -> list[TRBinStat]:
+    """bin_tr_columns of the samples' tr_columns."""
+    return bin_tr_columns(*tr_columns(samples), bin_width_deg)
+
+
+def bin_tr_columns(trs: np.ndarray, angles: np.ndarray, bin_width_deg: float = 15.0) -> list[TRBinStat]:
+    """Group TR values into [lo, hi) bins of their angles over 0..90 degrees; 90 falls in the last bin.
+
+    An angle outside [0, 90] (or NaN) raises ConfigError.  CI half-width is 1.96 * s/sqrt(n) with the
+    sample standard deviation; bins with n < 2 report no CI.  Sums are math.fsum over each bin's slice
+    of one stable sort; squares are Python's (libm pow), which numpy's square misses in ~1 of 1,200.
     """
     n_bins = check_bin_width(bin_width_deg)
-    buckets: list[list[float]] = [[] for _ in range(n_bins)]
-    for s in samples:
-        if not 0.0 <= s.orientation_deg <= 90.0:
-            raise ConfigError(f"orientation {s.orientation_deg} outside [0, 90]")
-        idx = min(int(s.orientation_deg / bin_width_deg), n_bins - 1)
-        buckets[idx].append(s.tr)
+    bad = ~((angles >= 0.0) & (angles <= 90.0))
+    if bad.any():
+        raise ConfigError(f"orientation {float(angles[bad.argmax()])} outside [0, 90]")
+    idx = np.minimum((angles / bin_width_deg).astype(np.int64), n_bins - 1)
+    order = np.argsort(idx, kind="stable")
+    cuts = np.searchsorted(idx[order], np.arange(n_bins + 1)).tolist()
+    trs = trs[order]
     stats = []
-    for i, vals in enumerate(buckets):
+    for i in range(n_bins):
         lo = i * bin_width_deg
         hi = lo + bin_width_deg
-        n = len(vals)
+        vals = trs[cuts[i] : cuts[i + 1]]
+        n = vals.size
         if n == 0:
             stats.append(TRBinStat(lo, hi, 0, None, None))
             continue
-        mean = math.fsum(vals) / n
+        mean = math.fsum(vals.tolist()) / n
         ci = None
         if n >= 2:
-            var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+            var = math.fsum(map(pow, (vals - mean).tolist(), repeat(2))) / (n - 1)
             ci = 1.96 * math.sqrt(var) / math.sqrt(n)
         stats.append(TRBinStat(lo, hi, n, mean, ci))
     return stats

@@ -601,6 +601,105 @@ def tr_sample_reference(quad) -> tuple[float, float]:
     return tr, (180.0 - ang if ang > 90.0 else ang)
 
 
+def bin_by_orientation_reference(samples, bin_width_deg: float = 15.0):
+    """tightness.bin_by_orientation as one Python loop over the samples, bucket by bucket."""
+    from obbkit.errors import ConfigError
+    from obbkit.tightness import TRBinStat, check_bin_width
+
+    n_bins = check_bin_width(bin_width_deg)
+    buckets: list[list[float]] = [[] for _ in range(n_bins)]
+    for s in samples:
+        if not 0.0 <= s.orientation_deg <= 90.0:
+            raise ConfigError(f"orientation {s.orientation_deg} outside [0, 90]")
+        idx = min(int(s.orientation_deg / bin_width_deg), n_bins - 1)
+        buckets[idx].append(s.tr)
+    stats = []
+    for i, vals in enumerate(buckets):
+        lo = i * bin_width_deg
+        hi = lo + bin_width_deg
+        n = len(vals)
+        if n == 0:
+            stats.append(TRBinStat(lo, hi, 0, None, None))
+            continue
+        mean = math.fsum(vals) / n
+        ci = None
+        if n >= 2:
+            var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+            ci = 1.96 * math.sqrt(var) / math.sqrt(n)
+        stats.append(TRBinStat(lo, hi, n, mean, ci))
+    return stats
+
+
+# The (n, 4, 2) formulations of obbkit.geometry's batch kernels, which reduce
+# over the vertex axis and gather the next vertex with take(); the column
+# kernels must reproduce them bit for bit.
+
+_NEXT = np.array([1, 2, 3, 0])
+
+
+def signed_areas2_reference(quads: np.ndarray) -> np.ndarray:
+    r = quads - quads[:, :1]
+    x, y = r[..., 0], r[..., 1]
+    return (x * y.take(_NEXT, axis=1) - x.take(_NEXT, axis=1) * y).sum(axis=1)
+
+
+def shoelace_areas_reference(quads: np.ndarray) -> np.ndarray:
+    return np.abs(signed_areas2_reference(quads)) / 2.0
+
+
+def canonical_order_reference(quads: np.ndarray) -> np.ndarray:
+    q = np.where((signed_areas2_reference(quads) < 0)[:, None, None], quads[:, ::-1], quads)
+    x, y = q[..., 0], q[..., 1]
+    x_low = np.where(y == y.min(axis=1, keepdims=True), x, np.inf)
+    start = np.argmax(x_low == x_low.min(axis=1, keepdims=True), axis=1)
+    return q[np.arange(q.shape[0])[:, None], (start[:, None] + np.arange(4)) % 4]
+
+
+def degenerate_mask_reference(quads: np.ndarray) -> np.ndarray:
+    from obbkit.geometry import EDGE_TOL
+
+    e = quads.take(_NEXT, axis=1) - quads
+    e_next = e.take(_NEXT, axis=1)
+    cr = e[..., 0] * e_next[..., 1] - e[..., 1] * e_next[..., 0]
+    mixed = (cr > EDGE_TOL).any(axis=1) & (cr < -EDGE_TOL).any(axis=1)
+    return mixed | (shoelace_areas_reference(quads) <= EDGE_TOL)
+
+
+def enclosing_bounds_reference(quads: np.ndarray) -> np.ndarray:
+    return np.concatenate([quads.min(axis=1), quads.max(axis=1)], axis=1)
+
+
+def orientations_deg_reference(quads: np.ndarray) -> np.ndarray:
+    from obbkit.geometry import EDGE_TOL
+
+    v = canonical_order_reference(quads)
+    e = v.take(_NEXT, axis=1) - v
+    lengths = np.hypot(e[..., 0], e[..., 1])
+    pair0 = (lengths[:, 0] + lengths[:, 2]) / 2.0
+    pair1 = (lengths[:, 1] + lengths[:, 3]) / 2.0
+    longer1 = (pair1 > pair0 * (1.0 + 1e-12)) & (pair1 - pair0 > EDGE_TOL)
+    edge = np.where(longer1[:, None], e[:, 1], e[:, 0])
+    ang = np.degrees(np.arctan2(edge[:, 1], edge[:, 0])) % 180.0
+    return np.where(ang > 90.0, 180.0 - ang, ang)
+
+
+def clip_areas_to_rect_reference(quads: np.ndarray, rect) -> np.ndarray:
+    from obbkit.geometry import _clip_areas_batch
+
+    xs, ys = quads[..., 0], quads[..., 1]
+    inside = (
+        (xs.min(axis=1) >= rect.x_min)
+        & (xs.max(axis=1) <= rect.x_max)
+        & (ys.min(axis=1) >= rect.y_min)
+        & (ys.max(axis=1) <= rect.y_max)
+    )
+    areas = np.zeros(quads.shape[0])
+    areas[inside] = shoelace_areas_reference(quads[inside])
+    if (~inside).any():
+        areas[~inside] = _clip_areas_batch(quads[~inside], rect)
+    return areas
+
+
 # The one-brand loops that the columnar kernels of obbkit.metrics replaced,
 # kept as the reference of reduce_coverage_reference.
 

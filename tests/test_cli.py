@@ -1099,6 +1099,31 @@ class TestByteOrderMark:
         for name in reports[0]["outputs"]:
             assert (out / "bom" / Path(name).name).read_bytes() == Path(name).read_bytes()
 
+    def test_analyze_meta_file(self, toy_analyze, capsys):
+        dets, meta, out = toy_analyze
+        text = meta.read_text(encoding="utf-8")
+        reports = []
+        for name, body in (("plain", text), ("bom", self.BOM + text)):
+            path = meta.with_name(f"{name}.json")
+            path.write_text(body, encoding="utf-8")
+            assert main(["analyze", "--detections", str(dets), "--meta", str(path), "--out", str(out / name)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[1]["counts"] == reports[0]["counts"] and reports[1]["summary"] == reports[0]["summary"]
+        for body in (self.BOM * 2 + text, " " + self.BOM + text, text.replace(",", "," + self.BOM, 1)):
+            meta.write_text(body, encoding="utf-8")
+            assert main(["analyze", "--detections", str(dets), "--meta", str(meta), "--out", str(out / "bad")]) == 2
+            assert "invalid metadata JSON" in capsys.readouterr().err
+
+    def test_losscheck_params_file(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        text = json.dumps({"gamma": 2.0, "alpha": 0.75})
+        params.write_text(self.BOM + text, encoding="utf-8")
+        assert main(["losscheck", "--params", str(params)]) == 0
+        for body in (self.BOM * 2 + text, " " + self.BOM + text, text.replace(",", "," + self.BOM, 1)):
+            params.write_text(body, encoding="utf-8")
+            assert main(["losscheck", "--params", str(params)]) == 1
+            assert "invalid loss parameter JSON" in capsys.readouterr().err
+
 
 class TestLabelFileFaults:
     """A label line that is not UTF-8 is a skipped line, and an entry of labels/ that is not a file is ignored."""
