@@ -23,7 +23,7 @@ from pathlib import Path
 from . import pipeline
 from .errors import ConfigError, ObbkitError
 from .evaluation import INTERPOLATIONS
-from .formats import FrameMeta, load_class_map
+from .formats import FrameMeta, load_class_map, read_json_object
 from .losses import LossParams
 
 logger = logging.getLogger("obbkit")
@@ -137,13 +137,7 @@ def _loss_params(args) -> LossParams:
     names = [f.name for f in dataclasses.fields(LossParams)]
     values = {}
     if args.params is not None:
-        try:
-            with open(args.params, encoding="utf-8-sig") as fh:
-                loaded = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # a JSON syntax error, bytes that are not UTF-8, nesting too deep
-            raise ConfigError(f"{args.params}: invalid loss parameter JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{args.params}: loss parameter file must be a JSON object")
+        loaded = read_json_object(args.params, "loss parameter", ConfigError)
         unknown = set(loaded) - set(names)
         if unknown:
             raise ConfigError(f"unknown loss parameters {sorted(unknown)}")

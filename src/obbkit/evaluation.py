@@ -317,9 +317,9 @@ def match_frame(
 
 
 def evaluate_columns(
-    labels: SplitLabels, video_ids: list[str], classes, confs, quads: np.ndarray, degenerate: np.ndarray | None = None,
-    iou_threshold: float = 0.5, box_mode: str = "obb", conf_threshold: float | None = None,
-    interpolation: str = "all_points", audit: MatchAudit | None = None,
+    labels: SplitLabels, video_ids: list[str], classes: np.ndarray, confs: np.ndarray, quads: np.ndarray,
+    degenerate: np.ndarray | None = None, iou_threshold: float = 0.5, box_mode: str = "obb",
+    conf_threshold: float | None = None, interpolation: str = "all_points", audit: MatchAudit | None = None,
 ) -> EvalResult:  # fmt: skip
     """Match a split's labels against prediction columns and reduce to the headline scores.
 
@@ -336,7 +336,6 @@ def evaluate_columns(
     if total_gt == 0:
         raise DataError("evaluation requires at least one ground-truth instance")
     check_settings(iou_threshold, box_mode)
-    classes, confs = np.asarray(classes, np.int64), np.asarray(confs, np.float64)
     degenerate = np.zeros(len(video_ids), bool) if degenerate is None else degenerate
     order, claimed, ious = _match_split(labels, video_ids, classes, confs, quads, degenerate, iou_threshold, box_mode, audit)
     tp = claimed >= 0

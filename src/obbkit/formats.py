@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ObbkitError, ParseError
 from .geometry import canonical_order, degenerate_mask
 from .geometry import normalize_quad  # noqa: F401 - bound for the benchmark's layer tracer
 
@@ -43,6 +43,18 @@ INT64_MAX = 2**63 - 1  # frame indices and class ids end up in int64 arrays
 IMAGE_EXTENSIONS = (".jpg", ".jpeg", ".png", ".bmp", ".tif", ".tiff", ".webp")
 
 _UNDECODABLE = re.compile("[\udc80-\udcff]")  # what the surrogateescape handler makes of a non-UTF-8 byte
+
+
+def read_json_object(path: str | Path, kind: str, error: type[ObbkitError]) -> dict:
+    """The JSON object of a UTF-8 file, a leading byte-order mark dropped; anything else raises ``error`` naming the ``kind`` of file."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            obj = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # a JSON syntax error, bytes that are not UTF-8, nesting too deep
+        raise error(f"{path}: invalid {kind} JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{path}: {kind} file must be a JSON object")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -75,13 +87,7 @@ class FrameMeta:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "FrameMeta":
-        try:
-            with open(path, encoding="utf-8-sig") as fh:
-                obj = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # a JSON syntax error, bytes that are not UTF-8, nesting too deep
-            raise DataError(f"{path}: invalid metadata JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise DataError(f"{path}: metadata must be a JSON object")
+        obj = read_json_object(path, "metadata", DataError)
         try:
             return cls(
                 width=float(obj["width"]),
@@ -443,15 +449,16 @@ class DetectionChunk:
     warnings: list[str]
     max_frame: int
     video_ids: list[str]
-    frames: list[int]
-    classes: list[int]
-    confs: list[float]
-    quads: np.ndarray
+    frames: np.ndarray  # int64
+    classes: np.ndarray  # int64
+    confs: np.ndarray  # float64
+    quads: np.ndarray  # float64
 
     def detections(self) -> Iterator[Detection]:
         """The kept records as Detections, quads in canonical order."""
         quads = canonical_order(self.quads)
-        for video_id, frame, class_id, quad, conf in zip(self.video_ids, self.frames, self.classes, quads, self.confs):
+        columns = self.video_ids, self.frames.tolist(), self.classes.tolist(), quads, self.confs.tolist()
+        for video_id, frame, class_id, quad, conf in zip(*columns):
             yield Detection(video_id=video_id, frame_index=frame, class_id=class_id, quad=quad, confidence=conf)
 
 
@@ -542,7 +549,7 @@ def _int_cells(col: list) -> np.ndarray:
 
 
 def _coordinates(polys: list, flag: np.ndarray) -> np.ndarray:
-    """The (n, 8) coordinates of a poly column; flags each poly that is not four [x, y] number pairs."""
+    """The (n, 4, 2) coordinates of a poly column; flags each poly that is not four [x, y] number pairs."""
     if not _all_len(polys, 4):
         ok = [type(p) is list and len(p) == 4 for p in polys]
         flag |= np.logical_not(ok)
@@ -556,16 +563,17 @@ def _coordinates(polys: list, flag: np.ndarray) -> np.ndarray:
     if not set(map(type, flat)) <= {float, int}:
         flat = [v if type(v) is float or type(v) is int else math.nan for v in flat]
     try:
-        return np.frombuffer(array("d", flat), np.float64).reshape(-1, 8)
+        return np.frombuffer(array("d", flat), np.float64).reshape(-1, 4, 2)
     except OverflowError:  # an int beyond the float range: ints read NaN, so their records are validated alone
-        return np.array([v if type(v) is float else math.nan for v in flat]).reshape(-1, 8)
+        return np.array([v if type(v) is float else math.nan for v in flat]).reshape(-1, 4, 2)
 
 
 def _check_columns(values: list, class_map: ClassMap | None, meta: FrameMeta | None) -> tuple:
-    """Checks of decoded records by column: ``video_ids, frames, classes, confs`` lists, (n, 8) coordinates, flags.
+    """Checks of decoded records by column: ``video_ids`` list, ``frames, classes, quads, confs`` arrays, flags.
 
     A record is flagged if it fails a check or has other fields than the
-    five; unflagged cells are what validate_detection_obj would return.
+    five; unflagged cells are what validate_detection_obj would return,
+    in its order.
     """
     flag = np.zeros(len(values), bool)
     try:
@@ -587,12 +595,12 @@ def _check_columns(values: list, class_map: ClassMap | None, meta: FrameMeta | N
     coords = _coordinates(polys, flag)
     frame_arr, class_arr, conf_arr = _int_cells(frames), _int_cells(classes), np.array(confs)
     flag |= (frame_arr < 0) | (class_arr < 0) | ~((conf_arr >= 0.0) & (conf_arr <= 1.0))
-    flag |= ~(np.abs(coords) <= MAX_PIXEL).all(axis=1)  # NaN and inf too
+    flag |= ~(np.abs(coords) <= MAX_PIXEL).all(axis=(1, 2))  # NaN and inf too
     if meta is not None and meta.frame_count > 0:
         flag |= frame_arr >= meta.frame_count
     if class_map is not None:
         flag |= class_arr >= len(class_map)
-    return video_ids, frames, classes, confs, coords, flag
+    return video_ids, frame_arr, class_arr, coords, conf_arr, flag
 
 
 def parse_detection_chunk(
@@ -619,52 +627,50 @@ def parse_detection_chunk(
         faults = dict.fromkeys(invalid_utf8, "invalid UTF-8")  # line index -> reason
         records = [i for i, line in enumerate(lines) if line and not line.isspace()]
         rows = [i for i in records if i not in faults]
-        columns: tuple[list, ...] = ([], [], [], [])  # video ids, frames, classes, confs
-        coord_cells, kept_rows = array("d"), []  # flat x, y pairs, grown without a second copy
+        video_ids, kept_rows = [], []  # the kept records' ids and line indices
+        columns = array("q"), array("q"), array("d"), array("d")  # frames, classes, quad x, y pairs, confs
         for lo in range(0, len(rows), BULK_LINES):
             block = rows[lo : lo + BULK_LINES]
             texts = [lines[i] for i in block]
             bad: dict[int, str] = {}
             values = _decode_block(texts, bad)
-            *cells, coords, flag = _check_columns(values, class_map, meta)
+            ids, *cells, flag = _check_columns(values, class_map, meta)
             # records that pass every check hold no dict; a flagged one that does may span lines
             if any(_holds_dict(values[k]) for k in np.flatnonzero(flag).tolist()):
                 bad.clear()
                 values = _decode_block(texts, bad, bulk=False)
-                *cells, coords, flag = _check_columns(values, class_map, meta)
+                ids, *cells, flag = _check_columns(values, class_map, meta)
             keep = ~flag
             for k in np.flatnonzero(flag).tolist():
                 if values[k] is _UNDECODED:
                     continue
                 try:
-                    *record, poly, conf = validate_detection_obj(values[k], class_map, meta)
+                    ids[k], *record = validate_detection_obj(values[k], class_map, meta)
                 except DataError as exc:
                     bad[k] = str(exc)
                     continue
-                for col, cell in zip(cells, (*record, conf)):
+                for col, cell in zip(cells, record):
                     col[k] = cell
-                coords[k] = array("d", chain.from_iterable(poly))
                 keep[k] = True
             faults.update((block[k], msg) for k, msg in bad.items())
             if bad:
                 kept = keep.tolist()
-                cells, block, coords = [list(compress(c, kept)) for c in cells], compress(block, kept), coords[keep]
-            for col, block_cells in zip(columns, cells):
-                col += block_cells
-            coord_cells.frombytes(coords.tobytes())
+                ids, block, cells = list(compress(ids, kept)), compress(block, kept), [col[keep] for col in cells]
+            video_ids += ids
             kept_rows += block
+            for col, block_cells in zip(columns, cells):
+                col.frombytes(block_cells.tobytes())
     finally:
         if gc_was_enabled:
             gc.enable()
-    video_ids, frames, classes, confs = columns
-    max_frame = max(frames, default=-1)
-    quads = np.frombuffer(coord_cells, np.float64).reshape(-1, 4, 2)
+    frames, classes, quads, confs = (np.frombuffer(col, col.typecode) for col in columns)
+    max_frame = int(frames.max(initial=-1))
+    quads = quads.reshape(-1, 4, 2)
     degenerate = degenerate_mask(quads)
     if degenerate.any():
         faults.update((kept_rows[i], "degenerate quad") for i in np.flatnonzero(degenerate).tolist())
-        keep = (~degenerate).tolist()
-        video_ids, frames, classes, confs = (list(compress(col, keep)) for col in columns)
-        quads = quads[~degenerate]
+        video_ids = list(compress(video_ids, (~degenerate).tolist()))
+        frames, classes, quads, confs = (col[~degenerate] for col in (frames, classes, quads, confs))
     ordered = sorted(faults.items())
     if strict and ordered:
         raise ParseError(ordered[0][1], first_line_no + ordered[0][0])

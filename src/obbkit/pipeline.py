@@ -156,19 +156,17 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 def _analyze_chunk(task) -> _ChunkResult:
     path, offset, n_lines, first_line_no, meta, class_map, conf_threshold, strict = task
     chunk = read_detection_range(path, offset, n_lines, first_line_no, class_map, meta, strict)
-    frames = np.array(chunk.frames, np.int64)
-    confs = np.array(chunk.confs)
-    above = confs >= conf_threshold
+    above = chunk.confs >= conf_threshold
     rect = RectAA(0.0, 0.0, meta.width, meta.height)
     return _ChunkResult(
         chunk.n_records,
         chunk.n_skipped,
         int((~above).sum()),
-        frames[above],
-        np.array(chunk.classes, np.int64)[above],
+        chunk.frames[above],
+        chunk.classes[above],
         clip_areas_to_rect(chunk.quads[above], rect),
         chunk.max_frame,
-        _distinct(frames) if meta.frame_count <= 0 else frames[:0],
+        _distinct(chunk.frames) if meta.frame_count <= 0 else chunk.frames[:0],
         chunk.warnings,
         list(dict.fromkeys(chunk.video_ids))[:VIDEO_ID_SAMPLES],
     )
@@ -293,8 +291,8 @@ def run_evaluate(cfg: EvaluateConfig, config_echo: dict | None = None) -> RunRep
             raise DataError(f"no ground-truth instances under {cfg.labels_dir}")
         chunks = list(_detection_chunks(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings))
         video_ids = [v for c in chunks for v in c.video_ids]
-        classes = [k for c in chunks for k in c.classes]
-        confs = [x for c in chunks for x in c.confs]
+        classes = np.concatenate([np.zeros(0, np.int64), *(c.classes for c in chunks)])
+        confs = np.concatenate([np.zeros(0), *(c.confs for c in chunks)])
         quads = np.concatenate([np.zeros((0, 4, 2)), *(canonical_order(c.quads) for c in chunks)])
         stems = set(labels.stems)
         unmatched = [v for v in video_ids if v not in stems]
@@ -364,8 +362,7 @@ class FitConfig:
 def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
     """Tightness-ratio vs orientation tables for labels and/or predictions."""
     with _run("fit", cfg.out_dir, config_echo) as report:
-        gt_samples: list[tightness.TRSample] = []
-        pred_samples: list[tightness.TRSample] = []
+        blocks: dict[str, list] = {"ground_truth": [], "prediction": []}  # a source's (trs, angles) per tr_sample call
         n_gt_parsed = n_gt_skipped = n_pred_skipped = 0
         n_classes = len(cfg.class_map) if cfg.class_map else None
         if cfg.labels_dir is not None:
@@ -375,21 +372,20 @@ def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
                 f"{labels.stems[f]}: degenerate ground truth excluded from TR analysis"
                 for f in labels.frames[labels.degenerate].tolist()
             )
-            live = ~labels.degenerate
-            quads, classes = labels.quads[live], labels.classes[live].tolist()
+            quads = labels.quads[~labels.degenerate]
             # blocks bound the batch kernels' temporaries: one call over 20k boxes raised peak RSS by about 5 MiB
-            for i in range(0, len(classes), CHUNK_LINES):
-                gt_samples.extend(tightness.tr_sample(quads[i : i + CHUNK_LINES], "ground_truth", classes[i : i + CHUNK_LINES]))
+            for i in range(0, len(quads), CHUNK_LINES):
+                blocks["ground_truth"].append(tightness.tr_sample(quads[i : i + CHUNK_LINES]))
         if cfg.detections is not None:
             for chunk in _detection_chunks(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings):
                 n_pred_skipped += chunk.n_skipped
-                pred_samples.extend(tightness.tr_sample(canonical_order(chunk.quads), "prediction", chunk.classes))
-        if not gt_samples and not pred_samples:
+                blocks["prediction"].append(tightness.tr_sample(canonical_order(chunk.quads)))
+        n = {source: sum(trs.size for trs, _ in parts) for source, parts in blocks.items()}
+        if not any(n.values()):
             raise DataError("no valid samples for TR analysis")
 
         widths = [cfg.bin_width] if cfg.bin_width is not None else [15.0, 5.0]
-        sources = {"ground_truth": gt_samples, "prediction": pred_samples}
-        columns = {source: tightness.tr_columns(samples) for source, samples in sources.items() if samples}
+        columns = {source: [np.concatenate(col) for col in zip(*parts)] for source, parts in blocks.items() if n[source]}
         overall_gaps: dict[str, float | None] = {}
         for width in widths:
             tag = format(width, "g")
@@ -402,11 +398,11 @@ def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
                 overall_gaps[tag] = overall
 
         report.counts = {
-            "gt_samples": len(gt_samples),
-            "pred_samples": len(pred_samples),
+            "gt_samples": n["ground_truth"],
+            "pred_samples": n["prediction"],
             "ground_truth_parsed": n_gt_parsed,
             "ground_truth_skipped": n_gt_skipped,
-            "predictions_parsed": len(pred_samples),
+            "predictions_parsed": n["prediction"],
             "predictions_skipped": n_pred_skipped,
         }
         report.summary = {"overall_mean_abs_gap": overall_gaps}

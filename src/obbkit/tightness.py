@@ -74,24 +74,17 @@ def tr_rect_closed_form(w: float, h: float, theta_deg: float) -> float:
     return wh / (wh + ((w * w + h * h) / 2.0) * math.sin(math.radians(2.0 * theta_deg)))
 
 
-def tr_sample(quads, source: str, class_ids):
-    """TRSamples of an (n, 4, 2) quad batch and its n class ids, in order.
+def tr_sample(quads) -> tuple[np.ndarray, np.ndarray]:
+    """``(tightness_ratios, orientations_deg)`` of an (n, 4, 2) quad batch, as float64 columns.
 
-    One (4, 2) quad and one class id give one TRSample.  Raises
-    GeometryError on non-finite or degenerate geometry.
+    Raises GeometryError on another shape, non-finite or degenerate geometry.
     """
     batch = np.asarray(quads, dtype=np.float64)
-    one = batch.ndim == 2
-    if one:
-        batch, class_ids = as_quad(batch)[None], [class_ids]
-    elif batch.ndim != 3 or batch.shape[1:] != (4, 2) or not np.isfinite(batch).all():
+    if batch.ndim != 3 or batch.shape[1:] != (4, 2) or not np.isfinite(batch).all():
         raise GeometryError(f"expected a finite (n, 4, 2) quad batch, got shape {batch.shape}")
     if degenerate_mask(batch).any():
         raise GeometryError("tightness ratio undefined for degenerate quad")
-    trs = tightness_ratios(batch).tolist()
-    angles = orientations_deg(batch).tolist()
-    samples = list(map(TRSample._make, zip([source] * len(trs), trs, angles, class_ids, strict=True)))
-    return samples[0] if one else samples
+    return tightness_ratios(batch), orientations_deg(batch)
 
 
 def check_bin_width(bin_width_deg: float) -> int:
@@ -104,15 +97,11 @@ def check_bin_width(bin_width_deg: float) -> int:
     return int(round(n_bins))
 
 
-def tr_columns(samples: list[TRSample]) -> tuple[np.ndarray, np.ndarray]:
-    """The tr and orientation_deg columns of a sample list, as float64 arrays."""
-    _, trs, angles, _ = zip(*samples) if samples else ((),) * 4
-    return np.array(trs, np.float64), np.array(angles, np.float64)
-
-
 def bin_by_orientation(samples: list[TRSample], bin_width_deg: float = 15.0) -> list[TRBinStat]:
-    """bin_tr_columns of the samples' tr_columns."""
-    return bin_tr_columns(*tr_columns(samples), bin_width_deg)
+    """bin_tr_columns of the samples' tr and orientation_deg fields."""
+    trs = np.array([s.tr for s in samples], np.float64)
+    angles = np.array([s.orientation_deg for s in samples], np.float64)
+    return bin_tr_columns(trs, angles, bin_width_deg)
 
 
 def bin_tr_columns(trs: np.ndarray, angles: np.ndarray, bin_width_deg: float = 15.0) -> list[TRBinStat]:

@@ -963,8 +963,8 @@ def parse_detection_chunk_reference(
         warnings=[f"line {line_no}: skipped: {msg}" for line_no, msg in faults],
         max_frame=max_frame,
         video_ids=video_ids,
-        frames=frames,
-        classes=classes,
-        confs=confs,
+        frames=np.array(frames, np.int64),
+        classes=np.array(classes, np.int64),
+        confs=np.array(confs, np.float64),
         quads=quads,
     )

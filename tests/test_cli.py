@@ -15,15 +15,16 @@ from obbkit.errors import ConfigError
 from obbkit.formats import FrameMeta, iter_detections, read_label_file, write_table
 from obbkit import pipeline
 from obbkit.pipeline import EvaluateConfig, FitConfig
-from obbkit.geometry import quad_from_rect
+from obbkit.geometry import obb_orientation_deg, quad_from_rect
 from obbkit.tightness import (
     TR_BIN_FIELDS,
     TR_GAP_FIELDS,
+    TRSample,
     bin_by_orientation,
     bin_rows,
     compare_gt_pred_tr,
+    tightness_ratio,
     tr_rect_closed_form,
-    tr_sample,
 )
 
 
@@ -626,8 +627,11 @@ class TestFit:
         gts = [gt for p in sorted((split / "labels").iterdir()) for gt in read_label_file(p, meta, warnings=[])]
         with open(preds, encoding="utf-8") as fh:
             dets = list(iter_detections(fh))
-        gt_samples = [tr_sample(g.quad, "ground_truth", g.class_id) for g in gts if not g.degenerate]
-        pred_samples = [tr_sample(d.quad, "prediction", d.class_id) for d in dets]
+        def sample(source, item):  # one box through the one-quad functions
+            return TRSample(source, tightness_ratio(item.quad), obb_orientation_deg(item.quad), item.class_id)
+
+        gt_samples = [sample("ground_truth", g) for g in gts if not g.degenerate]
+        pred_samples = [sample("prediction", d) for d in dets]
         assert sorted({s.orientation_deg for s in gt_samples} & {0.0, 45.0, 90.0}) == [0.0, 45.0, 90.0]
         want.mkdir()
         overall = {}
@@ -642,6 +646,25 @@ class TestFit:
         for path in sorted(want.iterdir()):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
         assert gaps == overall
+
+    def test_sources_that_come_out_empty(self, tmp_path, capsys):
+        split, _ = make_fit_tree(tmp_path)
+        preds = tmp_path / "malformed.jsonl"
+        flat = detection_line("f0", 0, 0, [[10, 10], [20, 10], [30, 10], [40, 10]], 0.9)
+        preds.write_text('{"oops\n' + '{"frame": 1}\n' + flat + "\n")
+        out = tmp_path / "out"
+        assert main(fit_argv(split, preds, out)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["counts"]["pred_samples"] == report["counts"]["predictions_parsed"] == 0
+        assert report["counts"]["predictions_skipped"] == 3 and report["counts"]["gt_samples"] == 63
+        assert sorted(p.name for p in out.glob("tr_*")) == ["tr_bins_bw15.csv", "tr_bins_bw5.csv"]
+        for width in (15, 5):
+            _, rows = read_table_csv(out / f"tr_bins_bw{width}.csv")
+            assert len(rows) == 90 // width and {row["source"] for row in rows} == {"ground_truth"}
+        assert report["summary"]["overall_mean_abs_gap"] == {}
+
+        assert main(["fit", "--detections", str(preds), "--out", str(tmp_path / "alone")]) == 2
+        assert "no valid samples for TR analysis" in capsys.readouterr().err
 
     def test_swept_rectangles_match_closed_form(self, tmp_path):
         split = tmp_path / "data" / "test"
@@ -974,8 +997,13 @@ class TestInputFiles:
             (["analyze", "--detections", "{preds}", "--meta", "{meta}", "--classes", "{bad}"], b"logo\n\xff\n", 2, "line 2: invalid UTF-8"),
             (["losscheck", "--params", "{bad}"], b'{"gamma": 2.0', 1, "invalid loss parameter JSON"),
             (["losscheck", "--params", "{bad}"], b"[" * 100_000, 1, "invalid loss parameter JSON"),
+            (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b"[100, 100]", 2, "metadata file must be a JSON object"),
+            (["losscheck", "--params", "{bad}"], b'"gamma"', 1, "loss parameter file must be a JSON object"),
         ],
-        ids=["meta-syntax", "meta-utf8", "meta-nesting", "classes-utf8", "params-syntax", "params-nesting"],
+        ids=[
+            "meta-syntax", "meta-utf8", "meta-nesting", "classes-utf8", "params-syntax", "params-nesting",
+            "meta-not-an-object", "params-not-an-object",
+        ],
     )
     def test_undecodable_config_file(self, tmp_path, capsys, argv, content, want_code, message):
         bad = tmp_path / "bad"

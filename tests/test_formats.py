@@ -263,7 +263,7 @@ class TestDetectionChunk:
         assert (chunk.n_records, chunk.n_skipped) == (4, 2)
         assert chunk.warnings[0] == "line 103: skipped: degenerate quad"
         assert chunk.warnings[1].startswith("line 104: skipped: invalid JSON: ")
-        assert chunk.frames == [7, 7] and chunk.classes == [2, 2] and chunk.confs == [0.8, 0.8]
+        assert chunk.frames.tolist() == [7, 7] and chunk.classes.tolist() == [2, 2] and chunk.confs.tolist() == [0.8, 0.8]
         assert chunk.quads.shape == (2, 4, 2)
         assert chunk.max_frame == 9  # validated records count, degenerate ones too
 

@@ -8,6 +8,7 @@ import math
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,8 @@ def outcome(parse, lines, class_map=None, meta=None) -> tuple:
         strict = None
     except ParseError as exc:
         strict = str(exc)
-    cells = [list(map(repr, col)) for col in (chunk.video_ids, chunk.frames, chunk.classes, chunk.confs)]
+    assert (chunk.frames.dtype, chunk.classes.dtype, chunk.confs.dtype) == (np.int64, np.int64, np.float64)
+    cells = [list(map(repr, col)) for col in (chunk.video_ids, chunk.frames.tolist(), chunk.classes.tolist(), chunk.confs.tolist())]
     quads = (chunk.quads.dtype, chunk.quads.shape, chunk.quads.tobytes())
     return chunk.n_records, chunk.n_skipped, chunk.warnings, chunk.max_frame, cells, quads, strict
 
@@ -190,7 +192,7 @@ class TestBulkParserExactness:
             with mock.patch.object(formats, "BULK_LINES", size):
                 chunk = parse_detection_chunk(lines, 1)
                 assert chunk.warnings == ["line 2: skipped: invalid JSON: integer literal too long"]
-                assert (chunk.n_records, chunk.n_skipped, chunk.frames) == (3, 1, [3, 4])
+                assert (chunk.n_records, chunk.n_skipped, chunk.frames.tolist()) == (3, 1, [3, 4])
                 with pytest.raises(ParseError, match="^line 2: invalid JSON: integer literal too long$"):
                     parse_detection_chunk(lines, 1, strict=True)
 
@@ -206,7 +208,7 @@ class TestBulkParserExactness:
                     "line 4: skipped: invalid JSON: nesting too deep",
                 ]
                 assert chunk.warnings[0].startswith("line 2: skipped: invalid JSON: Unterminated string")
-                assert (chunk.n_records, chunk.n_skipped, chunk.frames) == (5, 3, [3, 3])
+                assert (chunk.n_records, chunk.n_skipped, chunk.frames.tolist()) == (5, 3, [3, 3])
                 with pytest.raises(ParseError, match="^line 2: invalid JSON: Unterminated string"):
                     parse_detection_chunk(lines, 1, strict=True)
 

@@ -212,8 +212,8 @@ def _generated_columns(root: Path, seed: int, n_images: int):
     labels = read_split_labels(root / "split", META)
     with open(root / "predictions.jsonl", encoding="utf-8") as fh:
         preds = list(iter_detections(fh))
-    columns = ([p.video_id for p in preds], [p.class_id for p in preds], [p.confidence for p in preds])
-    return labels, preds, (*columns, np.stack([p.quad for p in preds]))
+    classes, confs = np.array([p.class_id for p in preds], np.int64), np.array([p.confidence for p in preds], np.float64)
+    return labels, preds, ([p.video_id for p in preds], classes, confs, np.stack([p.quad for p in preds]))
 
 
 @pytest.mark.parametrize("iou_threshold", [0.3, 0.5, 0.75])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obbkit.errors import ConfigError, GeometryError
-from obbkit.geometry import quad_from_rect
+from obbkit.geometry import obb_orientation_deg, quad_from_rect
 from oracles import random_convex_quad, tr_sample_reference
 from obbkit.tightness import (
     TRSample,
@@ -167,11 +167,16 @@ class TestCompare:
 
 class TestTrSample:
     def test_from_quad(self):
-        s = tr_sample(quad_from_rect(10, 10, 2, 1, 30), "prediction", 4)
-        assert s.source == "prediction"
-        assert s.class_id == 4
-        assert s.orientation_deg == pytest.approx(30.0, abs=1e-9)
-        assert s.tr == pytest.approx(tr_rect_closed_form(2, 1, 30), rel=1e-12)
+        quad = quad_from_rect(10, 10, 2, 1, 30)
+        trs, angles = tr_sample(quad[None])
+        assert (trs.dtype, angles.dtype, trs.shape, angles.shape) == (np.float64, np.float64, (1,), (1,))
+        assert angles[0] == pytest.approx(30.0, abs=1e-9)
+        assert trs[0] == pytest.approx(tr_rect_closed_form(2, 1, 30), rel=1e-12)
+        assert (trs[0], angles[0]) == (tightness_ratio(quad), obb_orientation_deg(quad))
+
+    def test_one_quad_is_no_batch(self):
+        with pytest.raises(GeometryError, match=r"got shape \(4, 2\)"):
+            tr_sample(quad_from_rect(10, 10, 2, 1, 30))
 
 
 def _quad_mix(rng) -> tuple[np.ndarray, int]:
@@ -195,31 +200,30 @@ class TestBatchTrSample:
     def test_batch_equals_one_quad_route(self):
         rng = np.random.default_rng(17)
         quads, block = _quad_mix(rng)
-        ids = rng.integers(0, 9, len(quads)).tolist()
-        batch = tr_sample(quads, "ground_truth", ids)
-        assert batch == [tr_sample(q, "ground_truth", c) for q, c in zip(quads, ids)]
-        assert all(s.tr == 1.0 for s in batch[:block])
-        assert all(s.orientation_deg in (0.0, 90.0) for s in batch[:block])
-        assert all(s.orientation_deg == pytest.approx(45.0, abs=1e-9) for s in batch[block : 2 * block])
-        assert all(s.tr == tightness_ratio(q) for s, q in zip(batch, quads))
+        trs, angles = tr_sample(quads)
+        assert (trs.dtype, angles.dtype, trs.shape, angles.shape) == (np.float64, np.float64, (2000,), (2000,))
+        assert trs.tolist() == [tightness_ratio(q) for q in quads]
+        assert angles.tolist() == [obb_orientation_deg(q) for q in quads]
+        assert (trs[:block] == 1.0).all()
+        assert np.isin(angles[:block], (0.0, 90.0)).all()
+        assert angles[block : 2 * block] == pytest.approx(np.full(block, 45.0), abs=1e-9)
 
     def test_against_scalar_reference(self):
         rng = np.random.default_rng(19)
         quads, _ = _quad_mix(rng)
-        for s, q in zip(tr_sample(quads, "prediction", [0] * len(quads)), quads):
-            tr, angle = tr_sample_reference(q)
-            assert s.tr == pytest.approx(tr, rel=1e-12, abs=0.0)
-            assert s.orientation_deg == pytest.approx(angle, rel=0.0, abs=1e-9)
+        for tr, angle, q in zip(*tr_sample(quads), quads):
+            want_tr, want_angle = tr_sample_reference(q)
+            assert tr == pytest.approx(want_tr, rel=1e-12, abs=0.0)
+            assert angle == pytest.approx(want_angle, rel=0.0, abs=1e-9)
 
     def test_empty_and_invalid_batches(self):
-        assert tr_sample(np.zeros((0, 4, 2)), "prediction", []) == []
+        trs, angles = tr_sample(np.zeros((0, 4, 2)))
+        assert (trs.dtype, angles.dtype, trs.shape, angles.shape) == (np.float64, np.float64, (0,), (0,))
         bowtie = [[0, 0], [1, 1], [1, 0], [0, 1]]
         good = quad_from_rect(5, 5, 2, 1, 10)
         with pytest.raises(GeometryError):
-            tr_sample(np.stack([good, bowtie]), "prediction", [0, 0])
+            tr_sample(np.stack([good, bowtie]))
         with pytest.raises(GeometryError):
-            tr_sample(np.zeros((2, 3, 2)), "prediction", [0, 0])
+            tr_sample(np.zeros((2, 3, 2)))
         with pytest.raises(GeometryError):
-            tr_sample(np.stack([good, good * np.nan]), "prediction", [0, 0])
-        with pytest.raises(ValueError):
-            tr_sample(np.stack([good, good]), "prediction", [0])
+            tr_sample(np.stack([good, good * np.nan]))
