@@ -118,10 +118,12 @@ def normalize_quad(points) -> tuple[np.ndarray, bool]:
     return canonical_order(v[None])[0].copy(), bool(degenerate_mask(v[None])[0])
 
 
-def _clip(poly: list, planes) -> list:
+def _clip(poly: list, planes, snap: bool = False) -> list:
     """A convex polygon of [x, y] vertices cut by each ``(px, py, ex, ey)`` plane in turn; fewer than 3 vertices is [].
 
     A plane keeps the left of the line through (px, py) along (ex, ey), to EDGE_TOL.
+    With ``snap`` (unit-length (ex, ey) only), a vertex kept from within EDGE_TOL
+    outside a plane is moved onto it, so the result lies inside every plane.
     """
     for px, py, ex, ey in planes:
         xc, yc = poly[0]
@@ -130,7 +132,7 @@ def _clip(poly: list, planes) -> list:
         for xn, yn in poly[1:] + poly[:1]:
             dn = ex * (yn - py) - ey * (xn - px)
             if dc >= -EDGE_TOL:
-                out.append((xc, yc))
+                out.append((xc + dc * ey, yc - dc * ex) if snap and dc < 0.0 else (xc, yc))
                 if dc > EDGE_TOL and dn < -EDGE_TOL:
                     t = dc / (dc - dn)
                     out.append((xc + t * (xn - xc), yc + t * (yn - yc)))
@@ -155,13 +157,17 @@ def _as_poly_array(pts: list) -> np.ndarray:
 
 
 def clip_to_rect(poly, rect: RectAA) -> np.ndarray:
-    """Clip a convex polygon to an axis-aligned rectangle (<= 8 vertices)."""
+    """Clip a convex polygon to an axis-aligned rectangle (<= 8 vertices).
+
+    A vertex within EDGE_TOL outside a side is moved onto it, so the clipped
+    area never exceeds the rectangle's beyond rounding.
+    """
     v = as_poly(poly)
     if v.shape[0] < 3:
         return _EMPTY
     # sign * (coordinate - bound) as _clip's distance: the other axis's term is a zero
     planes = ((rect.x_min, 0.0, 0.0, -1.0), (rect.x_max, 0.0, 0.0, 1.0), (0.0, rect.y_min, 1.0, 0.0), (0.0, rect.y_max, -1.0, 0.0))
-    return _as_poly_array(_clip(v.tolist(), planes))
+    return _as_poly_array(_clip(v.tolist(), planes, snap=True))
 
 
 def convex_intersection(a, b) -> np.ndarray:

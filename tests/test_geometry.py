@@ -166,6 +166,13 @@ class TestClipToRect:
         assert area <= polygon_area(quad) + 1e-9
         assert area <= FRAME.area + 1e-9
 
+    def test_vertex_just_outside_a_side_is_moved_onto_it(self):
+        # the top edge crosses x = 0 at y = 100 + 2.8e-11, inside EDGE_TOL of the y_max side
+        quad = quad_from_rect(0.0, 0.0, 201.0, 200.0, 4.254450005649634e-05)
+        clipped = clip_to_rect(quad, FRAME)
+        assert clipped.tolist() == [[100.0, 0.0], [100.0, 100.0], [0.0, 100.0], [0.0, 0.0]]
+        assert polygon_area(clipped) == FRAME.area
+
 
 class TestConvexIntersection:
     def test_identical(self):
