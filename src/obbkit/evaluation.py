@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .formats import Detection, GroundTruth, SplitLabels
-from .geometry import canonical_order, enclosing_bounds, rect_ious, shoelace_areas
+from .geometry import canonical_order, enclosing_bounds, intersection_areas, rect_ious, shoelace_areas
 from .geometry import enclosing_hbb  # noqa: F401 - bound for the benchmark's layer tracer
-from .geometry import iou_canonical as iou_obb  # the per-pair kernel, bound under the name the benchmark's layer tracer patches
+from .geometry import _iou as iou_obb  # the per-pair IoU from areas, bound under the name the benchmark's layer tracer patches
 
 DEFAULT_IOU_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -172,7 +172,8 @@ def _match_split(labels: SplitLabels, video_ids, classes, confs, quads, degenera
     hbb_ious = rect_ious(pb[near], gb[near]).tolist() if box_mode == "hbb" else None
     pair_pred, pair_gt = pair_pred[near], pair_gt[near].tolist()
     del pb, gb  # as long as the unfiltered pairs: dropped before the areas' temporaries
-    if hbb_ious is None:  # the IoU kernel takes both quads' areas
+    if hbb_ious is None:  # every candidate pair's intersection area at once; the loop finishes each IoU from areas
+        inters = intersection_areas(pred_quads[pair_pred], gt_quads[pair_gt]).tolist()
         pred_areas, gt_areas = shoelace_areas(pred_quads), shoelace_areas(gt_quads)
     cuts = np.searchsorted(pair_pred, np.arange(n + 1))
     rows = np.flatnonzero(np.diff(cuts)).tolist()  # the predictions with a candidate (np.unique would load numpy.ma)
@@ -182,13 +183,13 @@ def _match_split(labels: SplitLabels, video_ids, classes, confs, quads, degenera
     taken: set[int] = set()
     for row in rows:
         if hbb_ious is None:
-            quad, area = pred_quads[row].tolist(), float(pred_areas[row])
+            area = float(pred_areas[row])
         best_iou, best_gt = 0.0, -1
         for k in range(cuts[row], cuts[row + 1]):
             g = pair_gt[k]
             if g in taken:
                 continue
-            iou = iou_obb(quad, gt_quads[g].tolist(), area, float(gt_areas[g])) if hbb_ious is None else hbb_ious[k]
+            iou = iou_obb(inters[k], area, float(gt_areas[g])) if hbb_ious is None else hbb_ious[k]
             if iou > best_iou:
                 best_iou, best_gt = iou, g
         if best_gt >= 0 and best_iou >= iou_threshold:

@@ -2,20 +2,19 @@
 
 Quads and clip polygons are plain float64 arrays of shape (k, 2) with
 vertices in order; an empty polygon is an array of shape (0, 2).  All
-scalar operations are pure functions; one Sutherland-Hodgman loop
-(_clip: frame sides for clip_to_rect, quad edges for the rotated IoU)
-and the polygon area run on Python float lists, which is cheaper than
-numpy on a handful of vertices.  iou_canonical, evaluate's per-pair IoU,
-takes quads already in canonical order with their areas; iou_obb orders
-and measures its two quads, then calls it.  The batch kernels (canonical order,
-degeneracy, areas, enclosing bounds, orientation, frame clipping) take
-(n, 4, 2) quad batches, and the one-quad functions wrap them.  They do
-elementwise arithmetic on the batch's coordinate columns (quads[:, i, 0],
-quads[:, i, 1]), in the order of numpy's reduction over the vertex axis,
-so they keep its bits at a fraction of its cost; only the clipped path
-of clip_areas_to_rect still reduces over a vertex axis.  Pixel
-coordinates only: EDGE_TOL is absolute, so a 1e-5 x 1e-5 (normalized)
-box reads degenerate.
+scalar operations are pure functions; the one-pair ones (clip_to_rect,
+convex_intersection, iou_obb) run one Sutherland-Hodgman loop, _clip,
+and the polygon area on Python float lists, which is cheaper than numpy
+on a handful of vertices.  _clip_padded takes _clip's IEEE operations,
+in its order, to padded vertex columns: clip_areas_to_rect cuts a quad
+batch by the frame's sides with it, and intersection_areas, evaluate's
+pair kernel, cuts each quad by the other's edges, keeping _clip's bits.
+The other batch kernels (canonical order, degeneracy, areas, enclosing
+bounds, orientation) work on the eight coordinate columns of (n, 4, 2)
+quad batches, in the order of numpy's reduction over the vertex axis, so
+they keep its bits; the one-quad functions wrap them.  Pixel coordinates
+only: EDGE_TOL is absolute, so a 1e-5 x 1e-5 (normalized) box reads
+degenerate.
 """
 
 from __future__ import annotations
@@ -165,9 +164,12 @@ def clip_to_rect(poly, rect: RectAA) -> np.ndarray:
     v = as_poly(poly)
     if v.shape[0] < 3:
         return _EMPTY
+    return _as_poly_array(_clip(v.tolist(), _rect_planes(rect), snap=True))
+
+
+def _rect_planes(rect: RectAA) -> tuple:
     # sign * (coordinate - bound) as _clip's distance: the other axis's term is a zero
-    planes = ((rect.x_min, 0.0, 0.0, -1.0), (rect.x_max, 0.0, 0.0, 1.0), (0.0, rect.y_min, 1.0, 0.0), (0.0, rect.y_max, -1.0, 0.0))
-    return _as_poly_array(_clip(v.tolist(), planes, snap=True))
+    return (rect.x_min, 0.0, 0.0, -1.0), (rect.x_max, 0.0, 0.0, 1.0), (0.0, rect.y_min, 1.0, 0.0), (0.0, rect.y_max, -1.0, 0.0)
 
 
 def convex_intersection(a, b) -> np.ndarray:
@@ -183,17 +185,13 @@ def iou_obb(a, b) -> float:
     vertices, so identical regions give exactly 1.0.
     """
     va, vb = canonical_order(np.stack([as_quad(a), as_quad(b)])).tolist()
-    return iou_canonical(va, vb, _area(va), _area(vb))
+    return _iou(_area(_clip(va, _edge_planes(vb))), _area(va), _area(vb))
 
 
-def iou_canonical(va: list, vb: list, area_a: float, area_b: float) -> float:
-    """iou_obb of two quads in canonical order, as four [x, y] lists, given their areas (_area or shoelace_areas bits).
-
-    evaluate's per-pair kernel: each quad is ordered and measured once, not once per pair.
-    """
+def _iou(inter: float, area_a: float, area_b: float) -> float:
+    """IoU from the intersection area and both quads' areas: iou_obb's finish, and evaluate's per-pair call."""
     if area_a <= 0.0 and area_b <= 0.0:
         raise GeometryError("IoU undefined: both quads have zero area")
-    inter = _area(_clip(va, _edge_planes(vb)))
     union = area_a + area_b - inter
     if union <= 0.0:
         return 0.0
@@ -330,9 +328,9 @@ def clip_areas_to_rect(quads: np.ndarray, rect: RectAA) -> np.ndarray:
     """Areas of quad ∩ rect for an (n, 4, 2) batch.
 
     Quads fully inside the rectangle take a plain shoelace fast path;
-    the rest run a padded, vectorized Sutherland-Hodgman pass.  Results
-    match the scalar clip_to_rect + polygon_area route bit-for-bit on
-    the fast path and to ~1e-11 px^2 on the clipped path.
+    the rest run _clip_padded by the rectangle's sides.  Results match
+    the scalar clip_to_rect + polygon_area route bit-for-bit on the fast
+    path and to ~1e-11 px^2 on the clipped path.
     """
     n = quads.shape[0]
     if n == 0:
@@ -349,49 +347,64 @@ def clip_areas_to_rect(quads: np.ndarray, rect: RectAA) -> np.ndarray:
 
 
 def _clip_areas_batch(quads: np.ndarray, rect: RectAA) -> np.ndarray:
-    n = quads.shape[0]
-    m_cap = 9  # a quad clipped by 4 half-planes has at most 8 vertices
-    verts = np.zeros((n, m_cap, 2))
-    verts[:, :4] = quads
-    counts = np.full(n, 4, dtype=np.int64)
-    rows = np.arange(n)[:, None]
-    for axis, sign, bound in (
-        (0, 1.0, rect.x_min),
-        (0, -1.0, rect.x_max),
-        (1, 1.0, rect.y_min),
-        (1, -1.0, rect.y_max),
-    ):
-        m = int(counts.max(initial=0))
-        if m == 0:
-            break
-        v = verts[:, :m]
-        d = sign * (v[..., axis] - bound)
-        idx = np.arange(m)
-        valid = idx < counts[:, None]
-        nxt = np.where(idx + 1 < counts[:, None], idx + 1, 0)
-        d_nxt = np.take_along_axis(d, nxt, axis=1)
-        v_nxt = np.take_along_axis(v, nxt[..., None], axis=1)
-        emit_cur = (d >= -EDGE_TOL) & valid
-        emit_cross = (((d > EDGE_TOL) & (d_nxt < -EDGE_TOL)) | ((d < -EDGE_TOL) & (d_nxt > EDGE_TOL))) & valid
-        denom = np.where(emit_cross, d - d_nxt, 1.0)
-        t = np.where(emit_cross, d / denom, 0.0)
-        inter = v + t[..., None] * (v_nxt - v)
-        per_edge = emit_cur.astype(np.int64) + emit_cross.astype(np.int64)
-        start = np.cumsum(per_edge, axis=1) - per_edge
-        new_counts = start[:, -1] + per_edge[:, -1]
-        out = np.zeros((n, m_cap, 2))
-        flat = out.reshape(-1, 2)
-        flat[(rows * m_cap + start)[emit_cur]] = v[emit_cur]
-        flat[(rows * m_cap + start + emit_cur)[emit_cross]] = inter[emit_cross]
-        verts = out
-        counts = np.where(new_counts >= 3, new_counts, 0)
-    m = verts.shape[1]
-    idx = np.arange(m)
-    valid = idx < counts[:, None]
-    nxt = np.where(idx + 1 < counts[:, None], idx + 1, 0)
-    rel = verts - verts[:, :1]
-    x, y = rel[..., 0], rel[..., 1]
-    x_n = np.take_along_axis(x, nxt, axis=1)
-    y_n = np.take_along_axis(y, nxt, axis=1)
-    s = np.where(valid, x * y_n - x_n * y, 0.0).sum(axis=1)
+    x, y, counts = _clip_padded(quads, _rect_planes(rect))
+    nxt = np.arange(0, x.size, _SLOT.size)[:, None] + np.where(_SLOT + 1 < counts[:, None], _SLOT + 1, 0)
+    x, y = x - x[:, :1], y - y[:, :1]
+    s = np.where(_SLOT < counts[:, None], x * y.take(nxt) - x.take(nxt) * y, 0.0).sum(axis=1)
     return np.abs(s) / 2.0
+
+
+_SLOT = np.arange(9)  # vertex slots of a padded clip row: a quad cut by 4 half-planes has at most 8 vertices
+_PAIR_BLOCK = 256  # intersection_areas' pairs per pass, which bound its temporaries
+
+
+def _clip_padded(quads: np.ndarray, planes) -> tuple:
+    """_clip (no snap) of each quad of an (n, 4, 2) batch by four planes, each scalars or (n, 1) columns.
+
+    Each row takes _clip's IEEE operations in _clip's order, so it keeps its bits.  Returns
+    the (n, 9) x and y vertex columns and the vertex counts; a row cut below 3 vertices counts 0.
+    """
+    n = quads.shape[0]
+    x, y = np.zeros((2, n, _SLOT.size))
+    x[:, :4], y[:, :4] = quads[..., 0], quads[..., 1]
+    counts, rows = np.full(n, 4), np.arange(0, x.size, _SLOT.size)[:, None]
+    for px, py, ex, ey in planes:
+        c = counts[:, None]
+        nxt = rows + np.where(_SLOT + 1 < c, _SLOT + 1, 0)  # flat index of each vertex's successor
+        d = ex * (y - py) - ey * (x - px)
+        dn = d.take(nxt)
+        valid, ahead = _SLOT < c, d >= -EDGE_TOL
+        keep = ahead & valid
+        cross = valid & np.where(ahead, (d > EDGE_TOL) & (dn < -EDGE_TOL), dn > EDGE_TOL)
+        ends = np.cumsum(keep.view(np.int8) + cross.view(np.int8), axis=1)
+        at = rows + ends - 1  # the flat slot of each vertex's last output
+        x_out, y_out = np.zeros((2, n, _SLOT.size))
+        i = np.flatnonzero(keep)
+        kept = at.take(i) - cross.take(i)
+        np.put(x_out, kept, x.take(i))
+        np.put(y_out, kept, y.take(i))
+        i = np.flatnonzero(cross)
+        dc, xc, yc, succ = d.take(i), x.take(i), y.take(i), nxt.take(i)
+        t = dc / (dc - dn.take(i))
+        np.put(x_out, at.take(i), xc + t * (x.take(succ) - xc))
+        np.put(y_out, at.take(i), yc + t * (y.take(succ) - yc))
+        x, y, counts = x_out, y_out, np.where(ends[:, -1] >= 3, ends[:, -1], 0)
+    return x, y, counts
+
+
+def intersection_areas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Areas of a[i] ∩ b[i] for two (n, 4, 2) batches of quads in canonical order.
+
+    a[i] is cut by b[i]'s edges and measured with _area's terms in _area's order,
+    so each area is _area(_clip(a[i], _edge_planes(b[i]))) bit for bit.
+    """
+    areas = np.zeros(len(a))
+    for i in range(0, len(a), _PAIR_BLOCK):
+        qa, qb = a[i : i + _PAIR_BLOCK], b[i : i + _PAIR_BLOCK]
+        e = qb[:, [1, 2, 3, 0]] - qb  # _edge_planes' edge vectors
+        x, y, counts = _clip_padded(qa, [(qb[:, k, :1], qb[:, k, 1:], e[:, k, :1], e[:, k, 1:]) for k in range(4)])
+        x, y = x - x[:, :1], y - y[:, :1]
+        # the terms of vertices j, j + 1 for j = 1..7 (vertex 0's two edges add 0), summed in order by cumsum
+        terms = np.where(_SLOT[2:] < counts[:, None], x[:, 1:-1] * y[:, 2:] - x[:, 2:] * y[:, 1:-1], 0.0)
+        areas[i : i + _PAIR_BLOCK] = np.abs(terms.cumsum(axis=1)[:, -1]) / 2.0
+    return areas

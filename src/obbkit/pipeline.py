@@ -60,11 +60,14 @@ class RunReport:
 
 
 @contextmanager
-def _run(command: str, out_dir: Path | None, config_echo: dict | None):
+def _run(command: str, out_dir: Path | None, config_echo: dict | None, outputs: tuple[str, ...] = ()):
     """One command run: makes ``out_dir`` and yields the RunReport that the body fills in.
 
-    When the body succeeds, the report gets its duration and is written
-    to ``<out_dir>/run_report.json``.  Without an ``out_dir`` nothing is
+    Before the body reads any input, the report files named in ``outputs``
+    and run_report.json are removed from ``out_dir``, so a failed run
+    leaves no earlier run's report behind.  When the body succeeds, the
+    report gets its duration and is written to
+    ``<out_dir>/run_report.json``.  Without an ``out_dir`` nothing is
     written.  An ``out_dir`` that cannot be made (a file at it or above
     it) is a ConfigError, raised before the body reads any input.
     """
@@ -74,6 +77,8 @@ def _run(command: str, out_dir: Path | None, config_echo: dict | None):
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
+        for name in (*outputs, "run_report.json"):
+            (out_dir / name).unlink(missing_ok=True)
     report = RunReport(command=command, config=config_echo or {})
     yield report
     report.duration_s = time.perf_counter() - t0
@@ -176,7 +181,7 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
     """Detections stream -> brand metrics, timeline and ranking reports."""
     if not cfg.detections.is_file():
         raise ConfigError(f"detections file not found: {cfg.detections}")
-    with _run("analyze", cfg.out_dir, config_echo) as report:
+    with _run("analyze", cfg.out_dir, config_echo, tuple(f"{t}.{cfg.fmt}" for t in ("brand_metrics", "timeline", "ranking"))) as report:
         tasks = (
             (cfg.detections, *span, cfg.meta, cfg.class_map, cfg.conf_threshold, cfg.strict)
             for span in line_ranges(cfg.detections, CHUNK_LINES)
@@ -284,7 +289,7 @@ def run_evaluate(cfg: EvaluateConfig, config_echo: dict | None = None) -> RunRep
     The split's labels are read once into columns, and so are the
     predictions, chunk by chunk, with their quads in canonical order.
     """
-    with _run("evaluate", cfg.out_dir, config_echo) as report:
+    with _run("evaluate", cfg.out_dir, config_echo, (f"eval.{cfg.fmt}",)) as report:
         n_classes = len(cfg.class_map) if cfg.class_map else None
         labels = read_split_labels(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings)
         if not labels.classes.size:
@@ -361,7 +366,9 @@ class FitConfig:
 
 def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
     """Tightness-ratio vs orientation tables for labels and/or predictions."""
-    with _run("fit", cfg.out_dir, config_echo) as report:
+    widths = [cfg.bin_width] if cfg.bin_width is not None else [15.0, 5.0]
+    names = tuple(f"tr_{table}_bw{format(width, 'g')}.{cfg.fmt}" for width in widths for table in ("bins", "gap"))
+    with _run("fit", cfg.out_dir, config_echo, names) as report:
         blocks: dict[str, list] = {"ground_truth": [], "prediction": []}  # a source's (trs, angles) per tr_sample call
         n_gt_parsed = n_gt_skipped = n_pred_skipped = 0
         n_classes = len(cfg.class_map) if cfg.class_map else None
@@ -384,7 +391,6 @@ def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
         if not any(n.values()):
             raise DataError("no valid samples for TR analysis")
 
-        widths = [cfg.bin_width] if cfg.bin_width is not None else [15.0, 5.0]
         columns = {source: [np.concatenate(col) for col in zip(*parts)] for source, parts in blocks.items() if n[source]}
         overall_gaps: dict[str, float | None] = {}
         for width in widths:

@@ -683,9 +683,59 @@ def orientations_deg_reference(quads: np.ndarray) -> np.ndarray:
     return np.where(ang > 90.0, 180.0 - ang, ang)
 
 
-def clip_areas_to_rect_reference(quads: np.ndarray, rect) -> np.ndarray:
-    from obbkit.geometry import _clip_areas_batch
+def _clip_areas_batch_reference(quads: np.ndarray, rect) -> np.ndarray:
+    """The clipped path of clip_areas_to_rect as its own padded loop, independent of the kernel that geometry shares with intersection_areas."""
+    from obbkit.geometry import EDGE_TOL
 
+    n = quads.shape[0]
+    m_cap = 9  # a quad clipped by 4 half-planes has at most 8 vertices
+    verts = np.zeros((n, m_cap, 2))
+    verts[:, :4] = quads
+    counts = np.full(n, 4, dtype=np.int64)
+    rows = np.arange(n)[:, None]
+    for axis, sign, bound in (
+        (0, 1.0, rect.x_min),
+        (0, -1.0, rect.x_max),
+        (1, 1.0, rect.y_min),
+        (1, -1.0, rect.y_max),
+    ):
+        m = int(counts.max(initial=0))
+        if m == 0:
+            break
+        v = verts[:, :m]
+        d = sign * (v[..., axis] - bound)
+        idx = np.arange(m)
+        valid = idx < counts[:, None]
+        nxt = np.where(idx + 1 < counts[:, None], idx + 1, 0)
+        d_nxt = np.take_along_axis(d, nxt, axis=1)
+        v_nxt = np.take_along_axis(v, nxt[..., None], axis=1)
+        emit_cur = (d >= -EDGE_TOL) & valid
+        emit_cross = (((d > EDGE_TOL) & (d_nxt < -EDGE_TOL)) | ((d < -EDGE_TOL) & (d_nxt > EDGE_TOL))) & valid
+        denom = np.where(emit_cross, d - d_nxt, 1.0)
+        t = np.where(emit_cross, d / denom, 0.0)
+        inter = v + t[..., None] * (v_nxt - v)
+        per_edge = emit_cur.astype(np.int64) + emit_cross.astype(np.int64)
+        start = np.cumsum(per_edge, axis=1) - per_edge
+        new_counts = start[:, -1] + per_edge[:, -1]
+        out = np.zeros((n, m_cap, 2))
+        flat = out.reshape(-1, 2)
+        flat[(rows * m_cap + start)[emit_cur]] = v[emit_cur]
+        flat[(rows * m_cap + start + emit_cur)[emit_cross]] = inter[emit_cross]
+        verts = out
+        counts = np.where(new_counts >= 3, new_counts, 0)
+    m = verts.shape[1]
+    idx = np.arange(m)
+    valid = idx < counts[:, None]
+    nxt = np.where(idx + 1 < counts[:, None], idx + 1, 0)
+    rel = verts - verts[:, :1]
+    x, y = rel[..., 0], rel[..., 1]
+    x_n = np.take_along_axis(x, nxt, axis=1)
+    y_n = np.take_along_axis(y, nxt, axis=1)
+    s = np.where(valid, x * y_n - x_n * y, 0.0).sum(axis=1)
+    return np.abs(s) / 2.0
+
+
+def clip_areas_to_rect_reference(quads: np.ndarray, rect) -> np.ndarray:
     xs, ys = quads[..., 0], quads[..., 1]
     inside = (
         (xs.min(axis=1) >= rect.x_min)
@@ -696,7 +746,7 @@ def clip_areas_to_rect_reference(quads: np.ndarray, rect) -> np.ndarray:
     areas = np.zeros(quads.shape[0])
     areas[inside] = shoelace_areas_reference(quads[inside])
     if (~inside).any():
-        areas[~inside] = _clip_areas_batch(quads[~inside], rect)
+        areas[~inside] = _clip_areas_batch_reference(quads[~inside], rect)
     return areas
 
 

@@ -1089,6 +1089,24 @@ class TestOutputs:
         self._check(capsys, out, [f"tr_{t}_bw{tag}.csv" for tag in (widths[1:] or ["15", "5"]) for t in tables])
 
 
+class TestStaleReports:
+    """Before it reads any input, a run removes from --out the report files it writes and run_report.json, nothing else."""
+
+    @pytest.mark.parametrize("command", ["analyze", "evaluate", "fit"])
+    def test_a_failed_run_leaves_no_earlier_report(self, tmp_path, capsys, command):
+        argv = TestOutDirectory()._argv(tmp_path, command)
+        out = tmp_path / "out"
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        json_names = sorted(Path(p).name for p in json.loads(capsys.readouterr().out)["outputs"])
+        assert main([*argv, "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("keep")
+        preds = Path(argv[argv.index("--detections") + 1])
+        preds.write_text(preds.read_text() + '{"bad": 1}\n')
+        assert main([*argv, "--strict", "--out", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == sorted([*json_names, "notes.txt"])
+        assert (out / "notes.txt").read_text() == "keep"
+
+
 class TestByteOrderMark:
     """A UTF-8 byte-order mark at the start of a label file, class map or detection stream is ignored."""
 

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from obbkit import geometry
 from obbkit.errors import GeometryError
 from obbkit.geometry import (
     EDGE_TOL,
@@ -19,7 +20,7 @@ from obbkit.geometry import (
     convex_intersection,
     degenerate_mask,
     enclosing_hbb,
-    iou_canonical,
+    intersection_areas,
     iou_obb,
     normalize_quad,
     obb_orientation_deg,
@@ -592,13 +593,14 @@ def _boundary_pairs():
 
 
 class TestPairKernel:
-    """iou_canonical on quads ordered and measured once, as evaluate runs it, against iou_obb bit for bit."""
+    """evaluate's route, quads ordered and measured once, intersection_areas, then the per-pair finish, against iou_obb bit for bit."""
 
     def test_bit_identical_to_iou_obb_and_reference(self):
-        for a, b in _reference_pairs() + _boundary_pairs():
-            va, vb = canonical_order(np.stack([a, b]).astype(np.float64))
-            area_a, area_b = shoelace_areas(np.stack([va, vb])).tolist()
-            got = _outcome(lambda x, y: iou_canonical(x.tolist(), y.tolist(), area_a, area_b), va, vb)
+        pairs = _reference_pairs() + _boundary_pairs()
+        va, vb = (canonical_order(np.array(side, np.float64)) for side in zip(*pairs))
+        columns = intersection_areas(va, vb).tolist(), shoelace_areas(va).tolist(), shoelace_areas(vb).tolist()
+        for (a, b), (inter, area_a, area_b) in zip(pairs, zip(*columns)):
+            got = _outcome(lambda *_: geometry._iou(inter, area_a, area_b), a, b)
             assert _same(got, _outcome(iou_obb, a, b))
             assert _same(got, _outcome(iou_obb_reference, a, b))
 
@@ -621,3 +623,78 @@ class TestPairKernel:
                 assert _same(clip_to_rect(quad, rect), clip_to_rect_reference(quad, rect))
         flush = np.array([[0.0, 0.0], [100.0, 0.0], [100.0, 50.0], [0.0, 50.0]])  # edges on the frame's
         assert _same(clip_to_rect(flush, FRAME), clip_to_rect_reference(flush, FRAME))
+
+
+def _scalar_intersections(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_area(_clip(a[i], _edge_planes(b[i]))) of each pair, the route intersection_areas batches."""
+    pairs = zip(a.tolist(), b.tolist())
+    return np.array([geometry._area(geometry._clip(x, geometry._edge_planes(y))) for x, y in pairs], np.float64)
+
+
+def _ellipse_quad(params) -> np.ndarray:
+    """A convex quad: four points at sorted angles on a tilted ellipse, rounded to the integer grid if asked."""
+    cx, cy, rx, ry, tilt, angles, grid = params
+    t = np.sort(angles)
+    ex, ey = rx * np.cos(t), ry * np.sin(t)
+    quad = np.stack([cx + ex * math.cos(tilt) - ey * math.sin(tilt), cy + ex * math.sin(tilt) + ey * math.cos(tilt)], axis=1)
+    return np.round(quad) if grid else quad
+
+
+convex_quads = st.tuples(
+    st.floats(-60.0, 60.0),
+    st.floats(-60.0, 60.0),
+    st.floats(0.5, 50.0),
+    st.floats(0.5, 50.0),
+    st.floats(0.0, math.pi),
+    st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4, unique=True),
+    st.booleans(),
+).map(_ellipse_quad)
+
+
+class TestIntersectionAreas:
+    """intersection_areas against the scalar clip and area it batches, bit for bit."""
+
+    def _check(self, a, b) -> np.ndarray:
+        a, b = canonical_order(np.asarray(a, np.float64)), canonical_order(np.asarray(b, np.float64))
+        got = intersection_areas(a, b)
+        assert got.dtype == np.float64 and got.shape == (len(a),)
+        assert got.tobytes() == _scalar_intersections(a, b).tobytes()
+        return got
+
+    def test_zero_pairs(self):
+        assert self._check(np.zeros((0, 4, 2)), np.zeros((0, 4, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_pair_counts_around_the_block(self, offset):
+        rng = np.random.default_rng(107 + offset)
+        n = geometry._PAIR_BLOCK + offset
+        a = np.stack([random_convex_quad(rng, rng.uniform(0, 60, 2), rng.uniform(1, 30)) for _ in range(n)])
+        b = np.stack([random_convex_quad(rng, q.mean(axis=0) + rng.uniform(-20, 20, 2), rng.uniform(1, 30)) for q in a])
+        b[-1] = a[-1]  # the last pair of the last block
+        got = self._check(a, b)
+        assert (got > 0).sum() > n // 4
+
+    def test_identical_quads_give_iou_one(self):
+        rng = np.random.default_rng(109)
+        quads = canonical_order(np.stack([random_convex_quad(rng, rng.uniform(-1e3, 1e3, 2), rng.uniform(0.5, 300)) for _ in range(500)]))
+        quads[::5] = np.round(quads[::5])
+        inters, areas = self._check(quads, quads).tolist(), shoelace_areas(quads).tolist()
+        assert all(geometry._iou(inter, area, area) == 1.0 for inter, area in zip(inters, areas))
+
+    def test_shared_edges_corners_and_offsets(self):
+        a, b = zip(*_boundary_pairs())
+        self._check(a, b)
+
+    def test_one_quad_inside_the_other(self):
+        outer = quad_from_rect(300.0, 200.0, 120.0, 80.0, 25.0)
+        inner = [quad_from_rect(300.0 + dx, 200.0, 30.0, 10.0, angle) for dx in (-20.0, 0.0, 20.0) for angle in (0.0, 25.0, 70.0)]
+        for a, b in ((inner, [outer] * len(inner)), ([outer] * len(inner), inner)):
+            got = self._check(a, b)
+            assert got == pytest.approx(shoelace_areas(canonical_order(np.array(inner))), rel=1e-12)
+
+    @seed(1733)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(convex_quads, convex_quads), max_size=20))
+    def test_random_convex_pairs(self, pairs):
+        a, b = zip(*pairs) if pairs else (np.zeros((0, 4, 2)), np.zeros((0, 4, 2)))
+        self._check(a, b)
