@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .formats import Detection, GroundTruth, SplitLabels
-from .geometry import canonical_order, enclosing_bounds, intersection_areas, rect_ious, shoelace_areas
+from .geometry import _PAIR_BLOCK, canonical_order, enclosing_bounds, intersection_areas, rect_ious, shoelace_areas
 from .geometry import enclosing_hbb  # noqa: F401 - bound for the benchmark's layer tracer
 from .geometry import _iou as iou_obb  # the per-pair IoU from areas, bound under the name the benchmark's layer tracer patches
 
@@ -170,11 +170,15 @@ def _match_split(labels: SplitLabels, video_ids, classes, confs, quads, degenera
     pb, gb = enclosing_bounds(pred_quads)[pair_pred], enclosing_bounds(gt_quads)[pair_gt]
     near = (pb[:, 0] <= gb[:, 2]) & (gb[:, 0] <= pb[:, 2]) & (pb[:, 1] <= gb[:, 3]) & (gb[:, 1] <= pb[:, 3])
     hbb_ious = rect_ious(pb[near], gb[near]).tolist() if box_mode == "hbb" else None
-    pair_pred, pair_gt = pair_pred[near], pair_gt[near].tolist()
+    pair_pred, pair_gt = pair_pred[near], pair_gt[near]
     del pb, gb  # as long as the unfiltered pairs: dropped before the areas' temporaries
-    if hbb_ious is None:  # every candidate pair's intersection area at once; the loop finishes each IoU from areas
-        inters = intersection_areas(pred_quads[pair_pred], gt_quads[pair_gt]).tolist()
+    if hbb_ious is None:  # every candidate pair's intersection area, one block of gathered quads at a time
+        inters = []
+        for i in range(0, pair_pred.size, _PAIR_BLOCK):
+            block = slice(i, i + _PAIR_BLOCK)
+            inters += intersection_areas(pred_quads[pair_pred[block]], gt_quads[pair_gt[block]]).tolist()
         pred_areas, gt_areas = shoelace_areas(pred_quads), shoelace_areas(gt_quads)
+    pair_gt = pair_gt.tolist()
     cuts = np.searchsorted(pair_pred, np.arange(n + 1))
     rows = np.flatnonzero(np.diff(cuts)).tolist()  # the predictions with a candidate (np.unique would load numpy.ma)
     cuts = cuts.tolist()

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, DataError, ObbkitError, ParseError
 from .geometry import canonical_order, degenerate_mask
@@ -463,6 +464,7 @@ class DetectionChunk:
 
 
 BULK_LINES = 256  # record lines per bulk JSON decode: bounds the decoded objects alive at once
+BULK_LINE_CHARS = 1024  # longest line decoded in bulk: it nests at most 512 deep, which stdlib json reads too
 SCAN_BYTES = 1 << 16  # bytes read at a time while finding chunk boundaries; forked workers inherit the buffer
 
 _FIELDS = ("video_id", "frame", "class", "poly", "conf")
@@ -483,24 +485,46 @@ def _decode_one(text: str, k: int, faults: dict[int, str]):
     return _UNDECODED
 
 
+class _BulkDecoder(json.JSONDecoder):
+    """The decoder of bulk runs, ``json.loads(text, cls=_BulkDecoder)``: orjson, or stdlib json where orjson rejects the text.
+
+    orjson rejects NaN and infinity literals, numbers that overflow to
+    infinity and lone-surrogate escapes, which stdlib json reads.  Where
+    both read the text, they differ in integers beyond 64 bits (floats to
+    orjson), which fail a column check wherever a record holds them, and in
+    nesting deeper than the recursion limit (no limit to orjson), which no
+    line of up to BULK_LINE_CHARS characters reaches.
+    """
+
+    def decode(self, s, *args):
+        try:
+            return orjson.loads(s)
+        except orjson.JSONDecodeError:
+            return super().decode(s)
+
+
 def _decode_block(texts: list[str], faults: dict[int, str], bulk: bool = True) -> list:
     """The decoded value of each line; _UNDECODED where that fails, with ``faults[k]`` set.
 
-    With ``bulk``, lines whose last non-space character is ``}`` are
-    decoded in runs, one ``json.loads`` per run, kept if it gives one value
-    per line; a decode error splits a run at the line holding its position.
-    The caller must decode again without ``bulk`` if a value holds a nested
-    dict.  Without one, the newline after each line's final ``}``, which no
-    JSON string can hold, proves that it closes the line's own object.
+    With ``bulk``, lines of up to BULK_LINE_CHARS characters whose last
+    non-space character is ``}`` are decoded in runs, one
+    ``json.loads(..., cls=_BulkDecoder)`` per run, so orjson reads them
+    unless it rejects the run; a run's decode is kept if it gives one value
+    per line, and a decode error splits a run at the line holding its
+    position.  Single lines are decoded by stdlib json.  The caller must
+    decode a record again by itself before it validates it alone, and the
+    block again without ``bulk`` if a value holds a nested dict.  Without
+    one, the newline after each line's final ``}``, which no JSON string
+    can hold, proves that it closes the line's own object.
     """
     values = [_UNDECODED] * len(texts)
-    runs = [[k for k, text in enumerate(texts) if text.rstrip().endswith("}")]] if bulk else []
+    runs = [[k for k, text in enumerate(texts) if len(text) <= BULK_LINE_CHARS and text.rstrip().endswith("}")]] if bulk else []
     pending = [*runs, *([k] for k in set(range(len(texts))).difference(*runs))]
     while pending:
         run = pending.pop()
         part = [texts[k] for k in run]
         try:
-            decoded = json.loads("[" + "\n,".join(part) + "\n]") if len(run) > 1 else []
+            decoded = json.loads("[" + "\n,".join(part) + "\n]", cls=_BulkDecoder) if len(run) > 1 else []
         except json.JSONDecodeError as exc:
             starts = list(accumulate((len(line) + 2 for line in part), initial=1))
             j = min(bisect_right(starts, exc.pos), len(run)) - 1
@@ -642,6 +666,8 @@ def parse_detection_chunk(
                 ids, *cells, flag = _check_columns(values, class_map, meta)
             keep = ~flag
             for k in np.flatnonzero(flag).tolist():
+                if values[k] is not _UNDECODED:  # as stdlib json reads it: orjson reads integers beyond 64 bits as floats
+                    values[k] = _decode_one(texts[k], k, bad)
                 if values[k] is _UNDECODED:
                     continue
                 try:

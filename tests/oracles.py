@@ -956,7 +956,12 @@ def parse_detection_chunk_reference(
     meta=None,
     strict: bool = False,
 ):
-    """The line-at-a-time detection parser: one json.loads and one validate_detection_obj per line."""
+    """The line-at-a-time detection parser: one json.loads and one validate_detection_obj per line.
+
+    A line that stdlib json cannot decode is skipped as the parser documents
+    it: for an integer literal beyond the interpreter's digit limit and for
+    nesting deeper than the recursion limit as well as for a JSON error.
+    """
     import json
     from array import array
 
@@ -977,13 +982,21 @@ def parse_detection_chunk_reference(
         if not line.strip():
             continue
         n_records += 1
+        fault = None
         try:
-            video_id, frame, class_id, poly, conf = validate(loads(line), class_map, meta)
+            obj = loads(line)
         except json.JSONDecodeError as exc:
             fault = f"invalid JSON: {exc.msg}"
-        except DataError as exc:
-            fault = str(exc)
+        except ValueError:
+            fault = "invalid JSON: integer literal too long"
+        except RecursionError:
+            fault = "invalid JSON: nesting too deep"
         else:
+            try:
+                video_id, frame, class_id, poly, conf = validate(obj, class_map, meta)
+            except DataError as exc:
+                fault = str(exc)
+        if fault is None:
             video_ids.append(video_id)
             frames.append(frame)
             classes.append(class_id)

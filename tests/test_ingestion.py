@@ -5,12 +5,14 @@ from __future__ import annotations
 import gc
 import json
 import math
+import struct
 import warnings
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obbkit import formats
@@ -277,3 +279,112 @@ class TestPixelBound:
     def test_coordinates_at_the_bound_are_kept(self):
         square = [[-1e9, -1e9], [1e9, -1e9], [1e9, 1e9], [-1e9, 1e9]]
         assert assert_like_reference([json.dumps(record(poly=square)) + "\n"])[:2] == (1, 0)
+
+
+# Values that orjson, which decodes the bulk runs, reads differently from stdlib json or rejects.
+BIG_INTS = [s * (2**b + d) for b in (63, 64) for s in (1, -1) for d in (-1, 0, 1)]
+DEEP = {depth: "[" * depth + "]" * depth for depth in (1_100, 100_000)}
+
+
+def record_text(frame="3", cls="1", x="30.0", conf="0.75", video_id='"v"', tail="") -> str:
+    """A record line with each field's JSON text given; ``tail`` adds fields after the five."""
+    poly = f"[[10.0, 10.0], [{x}, 10.0], [30.0, 20.0], [10.0, 20.0]]"
+    return f'{{"video_id": {video_id}, "frame": {frame}, "class": {cls}, "poly": {poly}, "conf": {conf}{tail}}}'
+
+
+DISAGREEING_LINES = {
+    **{f"{field}={lit}": record_text(**{field: lit}) for field in ("x", "conf") for lit in ("NaN", "Infinity", "-Infinity")},
+    **{
+        f"{field}={lit}": record_text(**{field: lit})
+        for field in ("x", "conf")
+        for lit in ("1e400", "-1e400", "1.7976931348623159e308")
+    },
+    **{f"{field}={n}": record_text(**{field: str(n)}) for field in ("frame", "cls", "x", "conf") for n in BIG_INTS},
+    **{f"video_id={esc}": record_text(video_id=f'"{esc}"') for esc in (r"\ud800", r"\udc00", r"a\ud800b")},
+    "dup frame=2**64, frame=3": record_text(tail=f', "frame": {2**64}, "frame": 3'),
+    "dup conf=NaN, conf=0.5": record_text(tail=', "conf": NaN, "conf": 0.5'),
+    "dup conf=1e400, conf=0.25": record_text(tail=', "conf": 1e400, "conf": 0.25'),
+    "dup frame=4, frame=5": record_text(tail=', "frame": 4, "frame": 5'),
+    **{f"poly nested {d}": record_text(x=DEEP[d]) for d in DEEP},
+    **{f"extra field nested {d}": record_text(tail=f', "extra": {DEEP[d]}') for d in DEEP},
+    **{f"dup poly nested {d}, then a valid poly": record_text(tail=f', "poly": {DEEP[d]}, "poly": {SQUARE}') for d in DEEP},
+}
+
+
+JSON_CHARS = '[]{}",:0123456789.eE+-afilnrstuNI \t\n\\\x00\x7f\u00e9'
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def near_json_texts(draw) -> str:
+    """JSON text, then up to two characters inserted, replaced or deleted."""
+    text = json.dumps(draw(json_values), ensure_ascii=draw(st.booleans()), allow_nan=False)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        char = draw(st.sampled_from(JSON_CHARS))
+        text = text[:i] + (char if edit != "delete" else "") + text[i + (edit != "insert") :]
+    return text
+
+
+def orjson_int(literal: str):
+    """An integer literal as orjson reads it: a float beyond the 64-bit range."""
+    value = int(literal)
+    return value if -(2**63) <= value < 2**64 else float(literal)
+
+
+class TestOrjsonDisagreements:
+    """Each value where orjson and stdlib json disagree, first, mid-block and last in a block of valid records."""
+
+    @pytest.mark.parametrize("where", [0, formats.BULK_LINES // 2, formats.BULK_LINES - 1])
+    @pytest.mark.parametrize("case", list(DISAGREEING_LINES))
+    def test_block_matches_the_reference(self, case, where):
+        lines = [json.dumps(record(frame=i % 50)) + "\n" for i in range(formats.BULK_LINES)]
+        lines[where] = DISAGREEING_LINES[case] + "\n"
+        assert formats.BULK_LINES == 256
+        want = outcome(parse_detection_chunk_reference, lines)
+        assert outcome(parse_detection_chunk, lines) == want
+        assert want[0] == 256
+
+    def test_cases_reach_both_outcomes(self):
+        # the table holds lines the reference keeps and lines it skips
+        lines = [text + "\n" for text in DISAGREEING_LINES.values()]
+        chunk = parse_detection_chunk_reference(lines, 1)
+        assert 0 < chunk.n_skipped < len(lines)
+        assert "invalid JSON: nesting too deep" in {w.split("skipped: ")[1] for w in chunk.warnings}
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=-1e-300, max_value=1e-300),
+            st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+        ),
+        st.sampled_from([repr, "%.17g".__mod__, "%.6f".__mod__, "%.3e".__mod__]),
+    )
+    def test_orjson_reads_double_literals_to_the_same_bits(self, value, fmt):
+        # an orjson that rounds a literal differently would change kept coordinates and confidences
+        assume(math.isfinite(value))
+        text = fmt(value)
+        theirs = json.loads(text)
+        if math.isinf(theirs):  # a literal rounded up beyond the float range: orjson rejects it, stdlib json decodes it
+            with pytest.raises(orjson.JSONDecodeError):
+                orjson.loads(text)
+            return
+        ours = orjson.loads(text)
+        assert type(ours) is type(theirs)
+        assert struct.pack("<d", ours) == struct.pack("<d", theirs), text
+
+    @settings(max_examples=3000, deadline=None, derandomize=True)
+    @given(near_json_texts())
+    def test_orjson_accepts_no_text_that_stdlib_json_rejects(self, text):
+        try:
+            ours = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            return
+        assert json.loads(text, parse_int=orjson_int) == ours
+
