@@ -22,9 +22,8 @@ import math
 import os
 import re
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -73,8 +72,8 @@ class FrameMeta:
             raise ConfigError(f"frame dimensions must be positive, got {self.width}x{self.height}")
         if not (self.width <= MAX_PIXEL and self.height <= MAX_PIXEL):
             raise ConfigError(f"frame dimensions must be at most {MAX_PIXEL:g} px, got {self.width}x{self.height}")
-        if self.fps <= 0:
-            raise ConfigError(f"frame rate must be positive, got {self.fps}")
+        if not (0 < self.fps < math.inf and 1.0 / self.fps < math.inf):
+            raise ConfigError(f"frame rate must be positive and finite, with a finite 1/fps, got {self.fps}")
         if self.frame_count < 0:
             raise ConfigError(f"frame count must be >= 0, got {self.frame_count}")
 
@@ -99,7 +98,7 @@ class FrameMeta:
             )
         except KeyError as exc:
             raise DataError(f"{path}: missing metadata field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError, ConfigError) as exc:
             raise DataError(f"{path}: invalid metadata: {exc}") from None
 
 
@@ -486,55 +485,44 @@ def _decode_one(text: str, k: int, faults: dict[int, str]):
 
 
 class _BulkDecoder(json.JSONDecoder):
-    """The decoder of bulk runs, ``json.loads(text, cls=_BulkDecoder)``: orjson, or stdlib json where orjson rejects the text.
+    """The decoder of bulk runs, ``json.loads(text, cls=_BulkDecoder)``: orjson alone.
 
-    orjson rejects NaN and infinity literals, numbers that overflow to
-    infinity and lone-surrogate escapes, which stdlib json reads.  Where
-    both read the text, they differ in integers beyond 64 bits (floats to
-    orjson), which fail a column check wherever a record holds them, and in
-    nesting deeper than the recursion limit (no limit to orjson), which no
-    line of up to BULK_LINE_CHARS characters reaches.
+    orjson's JSONDecodeError is a ``json.JSONDecodeError`` whose ``pos``
+    counts characters, so it is the ``str`` index of the fault (0 for a
+    ``str`` holding a lone surrogate, which orjson does not read).
     """
 
     def decode(self, s, *args):
-        try:
-            return orjson.loads(s)
-        except orjson.JSONDecodeError:
-            return super().decode(s)
+        return orjson.loads(s)
 
 
-def _decode_block(texts: list[str], faults: dict[int, str], bulk: bool = True) -> list:
+def _decode_block(texts: list[str], faults: dict[int, str]) -> list:
     """The decoded value of each line; _UNDECODED where that fails, with ``faults[k]`` set.
 
-    With ``bulk``, lines of up to BULK_LINE_CHARS characters whose last
-    non-space character is ``}`` are decoded in runs, one
-    ``json.loads(..., cls=_BulkDecoder)`` per run, so orjson reads them
-    unless it rejects the run; a run's decode is kept if it gives one value
-    per line, and a decode error splits a run at the line holding its
-    position.  Single lines are decoded by stdlib json.  The caller must
-    decode a record again by itself before it validates it alone, and the
-    block again without ``bulk`` if a value holds a nested dict.  Without
-    one, the newline after each line's final ``}``, which no JSON string
-    can hold, proves that it closes the line's own object.
+    orjson reads runs: the lines of up to BULK_LINE_CHARS characters whose
+    last non-space character is ``}`` start as one run, decoded by one
+    ``json.loads(..., cls=_BulkDecoder)``.  A decode error splits its run
+    at the line holding its position, and stdlib json reads that line
+    alone, as it reads every other single line.  A run's decode is kept if
+    it gives one value per line; unless a value holds a nested dict (the
+    caller then decodes the block line by line), the newline after each
+    line's final ``}``, which no JSON string can hold, proves that it
+    closes the line's own object.
     """
     values = [_UNDECODED] * len(texts)
-    runs = [[k for k, text in enumerate(texts) if len(text) <= BULK_LINE_CHARS and text.rstrip().endswith("}")]] if bulk else []
-    pending = [*runs, *([k] for k in set(range(len(texts))).difference(*runs))]
+    bulk = [k for k, text in enumerate(texts) if len(text) <= BULK_LINE_CHARS and text.rstrip().endswith("}")]
+    pending = [bulk, *([k] for k in set(range(len(texts))).difference(bulk))]
     while pending:
         run = pending.pop()
         part = [texts[k] for k in run]
+        joined = "[" + "\n,".join(part) + "\n]"
         try:
-            decoded = json.loads("[" + "\n,".join(part) + "\n]", cls=_BulkDecoder) if len(run) > 1 else []
+            decoded = json.loads(joined, cls=_BulkDecoder) if len(run) > 1 else []
         except json.JSONDecodeError as exc:
-            starts = list(accumulate((len(line) + 2 for line in part), initial=1))
-            j = min(bisect_right(starts, exc.pos), len(run)) - 1
+            j = min(joined.count("\n,", 0, exc.pos), len(run) - 1)  # separators before the error: "\n" ends a line
             values[run[j]] = _decode_one(part[j], run[j], faults)
-            # when line j is valid alone, an earlier line broke the run
-            pending += [run[:j]] if values[run[j]] is _UNDECODED else [[k] for k in run[:j]]
-            pending.append(run[j + 1 :])
+            pending += [run[:j], run[j + 1 :]]
             continue
-        except (ValueError, RecursionError):  # a too-long integer literal, or nesting too deep for one decode
-            decoded = []
         if len(decoded) != len(run):
             decoded = [_decode_one(texts[k], k, faults) for k in run]
         for k, value in zip(run, decoded):
@@ -662,7 +650,7 @@ def parse_detection_chunk(
             # records that pass every check hold no dict; a flagged one that does may span lines
             if any(_holds_dict(values[k]) for k in np.flatnonzero(flag).tolist()):
                 bad.clear()
-                values = _decode_block(texts, bad, bulk=False)
+                values = [_decode_one(text, k, bad) for k, text in enumerate(texts)]
                 ids, *cells, flag = _check_columns(values, class_map, meta)
             keep = ~flag
             for k in np.flatnonzero(flag).tolist():

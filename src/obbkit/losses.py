@@ -11,7 +11,8 @@ uses natural logarithms.  Probabilities are clamped to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +35,11 @@ class LossParams:
     lambda_dfl: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # NaN, infinities and integers beyond the float range fail the bound
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.gamma < 0:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
         if not 0.0 <= self.alpha <= 1.0:

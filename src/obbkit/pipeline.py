@@ -88,6 +88,7 @@ def _run(command: str, out_dir: Path | None, config_echo: dict | None, outputs: 
 
 def _map_ordered(worker, tasks, jobs: int):
     """Map tasks to results in submission order, with bounded in-flight work."""
+    jobs = min(jobs, default_jobs())  # results do not depend on it, and the pool starts every worker at once
     if jobs <= 1:
         for task in tasks:
             yield worker(task)

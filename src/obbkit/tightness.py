@@ -23,6 +23,8 @@ TR_BIN_FIELDS = ["source", "bin_lo_deg", "bin_hi_deg", "n", "mean_tr", "ci95_hal
 
 TR_GAP_FIELDS = ["bin_lo_deg", "bin_hi_deg", "gt_n", "pred_n", "gt_mean_tr", "pred_mean_tr", "abs_gap"]
 
+MAX_BINS = 900  # orientation bins per table at most (0.1 degree each): one row per bin and source
+
 
 class TRSample(NamedTuple):
     """Tightness ratio and orientation of one box."""
@@ -88,9 +90,9 @@ def tr_sample(quads) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_bin_width(bin_width_deg: float) -> int:
-    """Number of bins; raises ConfigError unless the width is positive and divides 90."""
-    if bin_width_deg <= 0:
-        raise ConfigError(f"bin width must be positive, got {bin_width_deg}")
+    """Number of bins; raises ConfigError unless the width divides 90 into at most MAX_BINS bins."""
+    if not 90.0 / MAX_BINS <= bin_width_deg <= 90.0:
+        raise ConfigError(f"bin width must be in [{90.0 / MAX_BINS:g}, 90] degrees, got {bin_width_deg}")
     n_bins = 90.0 / bin_width_deg
     if abs(n_bins - round(n_bins)) > 1e-9:
         raise ConfigError(f"bin width {bin_width_deg} does not divide 90 evenly")

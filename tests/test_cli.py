@@ -191,6 +191,34 @@ class TestAnalyze:
         for name in ("brand_metrics.csv", "timeline.csv", "ranking.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_worker_count_is_clamped_to_the_cpu_count(self, toy_analyze, monkeypatch, capsys):
+        import concurrent.futures
+
+        started = []
+
+        class InlinePool:  # records the worker count and runs each task at once, in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        dets, meta, out = toy_analyze
+        cpus = pipeline.default_jobs()
+        argv = ["analyze", "--detections", str(dets), "--meta", str(meta), "--jobs", str(cpus + 1)]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert started == ([cpus] if cpus > 1 else [])
+        assert json.loads(capsys.readouterr().out)["counts"]["records_used"] == 2
+
     def test_strict_error_propagates_from_workers(self, tmp_path):
         dets = tmp_path / "dets.jsonl"
         lines = [detection_line("v", i % 4, 0, quad_from_rect(50, 50, 10, 10, 0), 0.9) for i in range(50)]
@@ -225,7 +253,13 @@ class TestAnalyze:
         _, rank_rows = read_table_csv(out / "ranking.csv")
         assert float(rank_rows[0]["exposure_s"]) == float(rows[0]["exposure_s"])
 
-    @pytest.mark.parametrize("flag", [["--top-k", "0"], ["--conf-threshold", "1.5"], ["--jobs", "0"], ["--jobs", "-3"]])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--top-k", "0"], ["--conf-threshold", "1.5"], ["--jobs", "0"], ["--jobs", "-3"],
+            ["--fps", "nan"], ["--fps", "inf"], ["--fps", "1e-320"], ["--conf-threshold", "nan"],
+        ],
+    )  # fmt: skip
     @pytest.mark.parametrize("stream", ["", "toy"])
     def test_invalid_config_exit_1_before_reading(self, toy_analyze, flag, stream, capsys):
         dets, meta, out = toy_analyze
@@ -426,7 +460,7 @@ class TestConfigValidation:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("width", ["7", "0", "-15"])
+    @pytest.mark.parametrize("width", ["7", "0", "-15", "nan", "inf", "-inf", "1e300", "0.05"])
     def test_fit_bin_width_exit_1(self, tmp_path, width, capsys):
         split, preds = make_eval_tree(tmp_path)
         out = tmp_path / "out"
@@ -786,6 +820,37 @@ class TestLosscheck:
         params.write_text(json.dumps({"beta": 1.0}))
         assert main(["losscheck", "--params", str(params)]) == 1
 
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ('{"gamma": "2"}', "gamma must be a finite number, got '2'"),
+            ('{"gamma": null}', "gamma must be a finite number, got None"),
+            ('{"alpha": true}', "alpha must be a finite number, got True"),
+            ('{"lambda_box": NaN}', "lambda_box must be a finite number, got nan"),
+            ('{"lambda_cls": -Infinity}', "lambda_cls must be a finite number, got -inf"),
+            ('{"lambda_dfl": 1e999}', "lambda_dfl must be a finite number, got inf"),
+            ('{"gamma": 1' + "0" * 400 + "}", "gamma must be a finite number, got 1" + "0" * 400),
+            ('{"alpha": [0.5]}', "alpha must be a finite number, got [0.5]"),
+        ],
+        ids=["string", "null", "bool", "nan", "-inf", "overflow", "int-beyond-float", "list"],
+    )
+    def test_param_file_value_that_is_not_a_finite_number_exit_1(self, tmp_path, capsys, text, shown):
+        params = tmp_path / "params.json"
+        params.write_text(text)
+        out = tmp_path / "out"
+        assert main(["losscheck", "--params", str(params), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {shown}\n" and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--alpha", "--lambda-box", "--lambda-cls", "--lambda-dfl"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_flag_that_is_not_a_finite_number_exit_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(["losscheck", f"{flag}={value}", "--out", str(out)]) == 1
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExposureLogEnv:
     def test_verbosity_env(self, toy_analyze, monkeypatch, capsys):
@@ -999,10 +1064,17 @@ class TestInputFiles:
             (["losscheck", "--params", "{bad}"], b"[" * 100_000, 1, "invalid loss parameter JSON"),
             (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b"[100, 100]", 2, "metadata file must be a JSON object"),
             (["losscheck", "--params", "{bad}"], b'"gamma"', 1, "loss parameter file must be a JSON object"),
+            (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 100, "height": 100, "fps": NaN}', 2, "invalid metadata: frame rate"),
+            (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 100, "height": 100, "fps": 1e999}', 2, "invalid metadata: frame rate"),
+            (["evaluate", "--labels", "{split}", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 100, "height": 100, "fps": NaN}', 2, "invalid metadata: frame rate"),
+            (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 100, "height": 100, "frame_count": 1e999}', 2, "invalid metadata: cannot convert"),
+            (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 1e999, "height": 100}', 2, "invalid metadata: frame dimensions"),
+            (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 100, "height": 1' + b"0" * 400 + b"}", 2, "invalid metadata: int too large"),
         ],
         ids=[
             "meta-syntax", "meta-utf8", "meta-nesting", "classes-utf8", "params-syntax", "params-nesting",
-            "meta-not-an-object", "params-not-an-object",
+            "meta-not-an-object", "params-not-an-object", "meta-fps-nan", "meta-fps-inf", "evaluate-meta-fps-nan",
+            "meta-frame-count-inf", "meta-width-inf", "meta-height-beyond-float",
         ],
     )
     def test_undecodable_config_file(self, tmp_path, capsys, argv, content, want_code, message):

@@ -388,3 +388,71 @@ class TestOrjsonDisagreements:
             return
         assert json.loads(text, parse_int=orjson_int) == ours
 
+
+class TestRunSplit:
+    """A bulk run that orjson rejects splits at the line holding the error; stdlib json reads that line alone."""
+
+    @staticmethod
+    def stdlib_reads(lines: list[str]) -> list[str]:
+        """Each text that stdlib json's decoder receives while parse_detection_chunk reads ``lines``."""
+        seen = []
+        raw_decode = json.decoder.JSONDecoder.raw_decode
+
+        def recording(self, s, *args, **kwargs):
+            seen.append(s)
+            return raw_decode(self, s, *args, **kwargs)
+
+        with mock.patch.object(json.decoder.JSONDecoder, "raw_decode", recording):
+            parse_detection_chunk(lines, 7)
+        return seen
+
+    def block(self) -> list[str]:
+        lines = [json.dumps(record(frame=i % 50)) + "\n" for i in range(formats.BULK_LINES)]
+        for i in range(20):  # 400 UTF-8 bytes each more than characters, before every fault
+            lines[i] = json.dumps(record(video_id="é" * 200), ensure_ascii=False) + "\n"
+        return lines
+
+    def test_stdlib_json_reads_only_the_rejected_lines(self):
+        lines = self.block()
+        bad = {
+            60: record_text(x="NaN") + "\n",
+            130: record_text(conf="1e400") + "\n",
+            200: record_text(video_id=r'"\ud800"') + "\n",
+        }
+        for i, text in bad.items():
+            lines[i] = text
+        assert formats.BULK_LINES == 256 and all(len(line) <= formats.BULK_LINE_CHARS for line in lines)
+        seen = self.stdlib_reads(lines)
+        assert set(seen) == set(bad.values())
+        # each is read at its split, and a flagged record once more before it is validated
+        assert sum(map(len, seen)) <= 2 * sum(map(len, bad.values()))
+        want = outcome(parse_detection_chunk_reference, lines)
+        assert outcome(parse_detection_chunk, lines) == want
+        assert want[:2] == (256, 2)
+
+    def test_earlier_unterminated_line_breaks_the_run_at_a_later_valid_line(self):
+        lines = self.block()
+        lines[150] = '{"a": {"b": 1}\n'
+        assert json.loads(lines[151])  # the line orjson's error lands on reads alone
+        assert self.stdlib_reads(lines) == [lines[151], lines[150]]
+        want = outcome(parse_detection_chunk_reference, lines)
+        assert outcome(parse_detection_chunk, lines) == want
+        assert want[:3] == (256, 1, ["line 157: skipped: invalid JSON: Expecting ',' delimiter"])
+
+    def test_error_at_the_start_of_a_run(self):
+        # orjson rejects a str holding a lone surrogate at position 0, before the first line's text
+        lines = self.block()
+        lines[3] = json.dumps(record(video_id="\ud800"), ensure_ascii=False) + "\n"
+        with pytest.raises(orjson.JSONDecodeError) as caught:
+            orjson.loads("[" + "\n,".join(lines) + "\n]")
+        assert caught.value.pos == 0
+        assert outcome(parse_detection_chunk, lines) == outcome(parse_detection_chunk_reference, lines)
+
+    def test_line_holding_a_separator_matches_the_reference(self):
+        # "\n," inside a line miscounts the line of a later error: the split then costs time, not values
+        lines = self.block()
+        lines[40] = '{"a": 1}\n,{"b": NaN}\n'
+        lines[90] = record_text(x="NaN") + "\n"
+        want = outcome(parse_detection_chunk_reference, lines)
+        assert outcome(parse_detection_chunk, lines) == want
+        assert want[:2] == (256, 2)
