@@ -487,9 +487,7 @@ def _decode_one(text: str, k: int, faults: dict[int, str]):
 class _BulkDecoder(json.JSONDecoder):
     """The decoder of bulk runs, ``json.loads(text, cls=_BulkDecoder)``: orjson alone.
 
-    orjson's JSONDecodeError is a ``json.JSONDecodeError`` whose ``pos``
-    counts characters, so it is the ``str`` index of the fault (0 for a
-    ``str`` holding a lone surrogate, which orjson does not read).
+    orjson's JSONDecodeError is a ``json.JSONDecodeError``.
     """
 
     def decode(self, s, *args):
@@ -499,34 +497,34 @@ class _BulkDecoder(json.JSONDecoder):
 def _decode_block(texts: list[str], faults: dict[int, str]) -> list:
     """The decoded value of each line; _UNDECODED where that fails, with ``faults[k]`` set.
 
-    orjson reads runs: the lines of up to BULK_LINE_CHARS characters whose
-    last non-space character is ``}`` start as one run, decoded by one
-    ``json.loads(..., cls=_BulkDecoder)``.  A decode error splits its run
-    at the line holding its position, and stdlib json reads that line
-    alone, as it reads every other single line.  A run's decode is kept if
-    it gives one value per line; unless a value holds a nested dict (the
+    orjson reads the lines of up to BULK_LINE_CHARS characters whose last
+    non-space character is ``}`` as one run, decoded by one
+    ``json.loads(..., cls=_BulkDecoder)``.  The run's decode is kept if it
+    gives one value per line; unless a value holds a nested dict (the
     caller then decodes the block line by line), the newline after each
     line's final ``}``, which no JSON string can hold, proves that it
-    closes the line's own object.
+    closes the line's own object.  Otherwise orjson reads the run's lines
+    one at a time, and stdlib json reads each line that orjson rejects, as
+    it reads every line outside the run.
     """
     values = [_UNDECODED] * len(texts)
     bulk = [k for k, text in enumerate(texts) if len(text) <= BULK_LINE_CHARS and text.rstrip().endswith("}")]
-    pending = [bulk, *([k] for k in set(range(len(texts))).difference(bulk))]
-    while pending:
-        run = pending.pop()
-        part = [texts[k] for k in run]
-        joined = "[" + "\n,".join(part) + "\n]"
-        try:
-            decoded = json.loads(joined, cls=_BulkDecoder) if len(run) > 1 else []
-        except json.JSONDecodeError as exc:
-            j = min(joined.count("\n,", 0, exc.pos), len(run) - 1)  # separators before the error: "\n" ends a line
-            values[run[j]] = _decode_one(part[j], run[j], faults)
-            pending += [run[:j], run[j + 1 :]]
-            continue
-        if len(decoded) != len(run):
-            decoded = [_decode_one(texts[k], k, faults) for k in run]
-        for k, value in zip(run, decoded):
+    single = set(range(len(texts))).difference(bulk)
+    try:
+        decoded = json.loads("[" + "\n,".join([texts[k] for k in bulk]) + "\n]", cls=_BulkDecoder)
+    except json.JSONDecodeError:
+        decoded = []
+    if len(decoded) == len(bulk):
+        for k, value in zip(bulk, decoded):
             values[k] = value
+    else:
+        for k in bulk:
+            try:
+                values[k] = orjson.loads(texts[k])
+            except orjson.JSONDecodeError:
+                single.add(k)
+    for k in sorted(single):
+        values[k] = _decode_one(texts[k], k, faults)
     return values
 
 

@@ -1,20 +1,17 @@
 """Exact 2-D polygon operations for oriented boxes.
 
 Quads and clip polygons are plain float64 arrays of shape (k, 2) with
-vertices in order; an empty polygon is an array of shape (0, 2).  All
-scalar operations are pure functions; the one-pair ones (clip_to_rect,
-convex_intersection, iou_obb) run one Sutherland-Hodgman loop, _clip,
-and the polygon area on Python float lists, which is cheaper than numpy
-on a handful of vertices.  _clip_padded takes _clip's IEEE operations,
-in its order, to padded vertex columns: clip_areas_to_rect cuts a quad
-batch by the frame's sides with it, and intersection_areas, evaluate's
-pair kernel, cuts each quad by the other's edges, keeping _clip's bits.
-The other batch kernels (canonical order, degeneracy, areas, enclosing
-bounds, orientation) work on the eight coordinate columns of (n, 4, 2)
-quad batches, in the order of numpy's reduction over the vertex axis, so
-they keep its bits; the one-quad functions wrap them.  Pixel coordinates
-only: EDGE_TOL is absolute, so a 1e-5 x 1e-5 (normalized) box reads
-degenerate.
+vertices in order; an empty polygon is an array of shape (0, 2).
+_clip_padded, the one Sutherland-Hodgman clip, cuts (n, k, 2) polygon
+batches held in padded vertex columns: clip_areas_to_rect cuts quads by
+the frame's sides with it, and intersection_areas, evaluate's pair
+kernel, cuts each quad by the other's edges.  The other batch kernels
+(canonical order, degeneracy, areas, enclosing bounds, orientation) work
+on the eight coordinate columns of (n, 4, 2) quad batches, in the order
+of numpy's reduction over the vertex axis, so they keep its bits.  The
+one-polygon functions are batch-of-one views of the kernels and pay
+their numpy overhead on every call.  Pixel coordinates only: EDGE_TOL is
+absolute, so a 1e-5 x 1e-5 (normalized) box reads degenerate.
 """
 
 from __future__ import annotations
@@ -90,19 +87,8 @@ def polygon_area(poly) -> float:
     exact for axis-aligned rectangles (area equals the width-height
     product bit-for-bit) and accurate for polygons far from the origin.
     """
-    return _area(as_poly(poly).tolist())
-
-
-def _area(pts: list) -> float:
-    """polygon_area of a list of [x, y] vertices."""
-    if len(pts) < 3:
-        return 0.0
-    x0, y0 = pts[0]
-    s = 0.0
-    # the edges into and out of vertex 0 add 0 relative to it
-    for (xa, ya), (xb, yb) in zip(pts[1:], pts[2:]):
-        s += (xa - x0) * (yb - y0) - (xb - x0) * (ya - y0)
-    return abs(s) / 2.0
+    # cut by no planes: the vertices in a padded row, as _padded_areas reads them
+    return _padded_areas(*_clip_padded(as_poly(poly)[None], ())).item()
 
 
 def normalize_quad(points) -> tuple[np.ndarray, bool]:
@@ -117,75 +103,36 @@ def normalize_quad(points) -> tuple[np.ndarray, bool]:
     return canonical_order(v[None])[0].copy(), bool(degenerate_mask(v[None])[0])
 
 
-def _clip(poly: list, planes, snap: bool = False) -> list:
-    """A convex polygon of [x, y] vertices cut by each ``(px, py, ex, ey)`` plane in turn; fewer than 3 vertices is [].
-
-    A plane keeps the left of the line through (px, py) along (ex, ey), to EDGE_TOL.
-    With ``snap`` (unit-length (ex, ey) only), a vertex kept from within EDGE_TOL
-    outside a plane is moved onto it, so the result lies inside every plane.
-    """
-    for px, py, ex, ey in planes:
-        xc, yc = poly[0]
-        dc = ex * (yc - py) - ey * (xc - px)
-        out: list = []
-        for xn, yn in poly[1:] + poly[:1]:
-            dn = ex * (yn - py) - ey * (xn - px)
-            if dc >= -EDGE_TOL:
-                out.append((xc + dc * ey, yc - dc * ex) if snap and dc < 0.0 else (xc, yc))
-                if dc > EDGE_TOL and dn < -EDGE_TOL:
-                    t = dc / (dc - dn)
-                    out.append((xc + t * (xn - xc), yc + t * (yn - yc)))
-            elif dn > EDGE_TOL:
-                t = dc / (dc - dn)
-                out.append((xc + t * (xn - xc), yc + t * (yn - yc)))
-            xc, yc, dc = xn, yn, dn
-        if len(out) < 3:
-            return []
-        poly = out
-    return poly
-
-
-def _edge_planes(q: list) -> tuple:
-    """The four edges 0->1, 1->2, 2->3, 3->0 of a canonical (counter-clockwise) quad as _clip planes."""
-    (ax, ay), (bx, by), (cx, cy), (dx, dy) = q
-    return (ax, ay, bx - ax, by - ay), (bx, by, cx - bx, cy - by), (cx, cy, dx - cx, dy - cy), (dx, dy, ax - dx, ay - dy)
-
-
-def _as_poly_array(pts: list) -> np.ndarray:
-    return np.array(pts, dtype=np.float64) if pts else _EMPTY
-
-
 def clip_to_rect(poly, rect: RectAA) -> np.ndarray:
-    """Clip a convex polygon to an axis-aligned rectangle (<= 8 vertices).
+    """Clip a convex k-gon to an axis-aligned rectangle (<= k + 4 vertices).
 
     A vertex within EDGE_TOL outside a side is moved onto it, so the clipped
     area never exceeds the rectangle's beyond rounding.
     """
-    v = as_poly(poly)
-    if v.shape[0] < 3:
-        return _EMPTY
-    return _as_poly_array(_clip(v.tolist(), _rect_planes(rect), snap=True))
+    x, y, (n,) = _clip_padded(as_poly(poly)[None], _rect_planes(rect), snap=True)
+    return np.stack([x[0, :n], y[0, :n]], axis=1)
 
 
 def _rect_planes(rect: RectAA) -> tuple:
-    # sign * (coordinate - bound) as _clip's distance: the other axis's term is a zero
+    # sign * (coordinate - bound) as _clip_padded's distance: the other axis's term is a zero
     return (rect.x_min, 0.0, 0.0, -1.0), (rect.x_max, 0.0, 0.0, 1.0), (0.0, rect.y_min, 1.0, 0.0), (0.0, rect.y_max, -1.0, 0.0)
 
 
 def convex_intersection(a, b) -> np.ndarray:
     """Intersection polygon of two convex quads via half-plane clipping."""
-    va, vb = canonical_order(np.stack([as_quad(a), as_quad(b)])).tolist()
-    return _as_poly_array(_clip(va, _edge_planes(vb)))
+    pair = canonical_order(np.stack([as_quad(a), as_quad(b)]))
+    x, y, (n,) = _clip_padded(pair[:1], _edge_planes(pair[1:]))
+    return np.stack([x[0, :n], y[0, :n]], axis=1)
 
 
 def iou_obb(a, b) -> float:
     """Rotated IoU between two quads: area(a∩b) / area(a∪b).
 
-    All three areas come from the same function on canonically ordered
-    vertices, so identical regions give exactly 1.0.
+    All three areas come from the same shoelace terms on canonically
+    ordered vertices, so identical regions give exactly 1.0.
     """
-    va, vb = canonical_order(np.stack([as_quad(a), as_quad(b)])).tolist()
-    return _iou(_area(_clip(va, _edge_planes(vb))), _area(va), _area(vb))
+    pair = canonical_order(np.stack([as_quad(a), as_quad(b)]))
+    return _iou(*intersection_areas(pair[:1], pair[1:]).tolist(), *shoelace_areas(pair).tolist())
 
 
 def _iou(inter: float, area_a: float, area_b: float) -> float:
@@ -328,9 +275,9 @@ def clip_areas_to_rect(quads: np.ndarray, rect: RectAA) -> np.ndarray:
     """Areas of quad ∩ rect for an (n, 4, 2) batch.
 
     Quads fully inside the rectangle take a plain shoelace fast path;
-    the rest run _clip_padded by the rectangle's sides.  Results match
-    the scalar clip_to_rect + polygon_area route bit-for-bit on the fast
-    path and to ~1e-11 px^2 on the clipped path.
+    the rest run clip_to_rect's clip, snap included, and sum each row
+    with numpy.  Results match polygon_area(clip_to_rect(quad, rect))
+    bit-for-bit on the fast path and to ~1e-11 px^2 on the clipped path.
     """
     n = quads.shape[0]
     if n == 0:
@@ -347,42 +294,54 @@ def clip_areas_to_rect(quads: np.ndarray, rect: RectAA) -> np.ndarray:
 
 
 def _clip_areas_batch(quads: np.ndarray, rect: RectAA) -> np.ndarray:
-    x, y, counts = _clip_padded(quads, _rect_planes(rect))
-    nxt = np.arange(0, x.size, _SLOT.size)[:, None] + np.where(_SLOT + 1 < counts[:, None], _SLOT + 1, 0)
+    x, y, counts = _clip_padded(quads, _rect_planes(rect), snap=True)
+    slot = np.arange(x.shape[1])
+    nxt = np.arange(0, x.size, slot.size)[:, None] + np.where(slot + 1 < counts[:, None], slot + 1, 0)
     x, y = x - x[:, :1], y - y[:, :1]
-    s = np.where(_SLOT < counts[:, None], x * y.take(nxt) - x.take(nxt) * y, 0.0).sum(axis=1)
+    s = np.where(slot < counts[:, None], x * y.take(nxt) - x.take(nxt) * y, 0.0).sum(axis=1)
     return np.abs(s) / 2.0
 
 
-_SLOT = np.arange(9)  # vertex slots of a padded clip row: a quad cut by 4 half-planes has at most 8 vertices
 _PAIR_BLOCK = 256  # intersection_areas' pairs per pass, which bound its temporaries
 
 
-def _clip_padded(quads: np.ndarray, planes) -> tuple:
-    """_clip (no snap) of each quad of an (n, 4, 2) batch by four planes, each scalars or (n, 1) columns.
+def _clip_padded(polys: np.ndarray, planes, snap: bool = False) -> tuple:
+    """Sutherland-Hodgman clip of each convex polygon of an (n, k, 2) batch by each ``(px, py, ex, ey)`` plane in turn.
 
-    Each row takes _clip's IEEE operations in _clip's order, so it keeps its bits.  Returns
-    the (n, 9) x and y vertex columns and the vertex counts; a row cut below 3 vertices counts 0.
+    A plane keeps the left of the line through (px, py) along (ex, ey), to
+    EDGE_TOL; its terms are scalars or (n, 1) columns.  With ``snap``
+    (scalar unit-length planes only), a vertex kept from within EDGE_TOL
+    outside a plane is moved onto it, so the result lies inside every plane.
+    Rows hold k + 5 vertex slots: a convex k-gon cut by 4 planes has at most
+    k + 4 vertices, and a plane that gives a non-convex row more widens every
+    row.  Returns the (n, m) x and y vertex columns and the vertex counts; a
+    row of fewer than 3 vertices, cut or not, counts 0.
     """
-    n = quads.shape[0]
-    x, y = np.zeros((2, n, _SLOT.size))
-    x[:, :4], y[:, :4] = quads[..., 0], quads[..., 1]
-    counts, rows = np.full(n, 4), np.arange(0, x.size, _SLOT.size)[:, None]
+    n, k = polys.shape[:2]
+    x, y = np.zeros((2, n, k + 5))
+    x[:, :k], y[:, :k] = polys[..., 0], polys[..., 1]
+    counts = np.full(n, k if k >= 3 else 0)
     for px, py, ex, ey in planes:
-        c = counts[:, None]
-        nxt = rows + np.where(_SLOT + 1 < c, _SLOT + 1, 0)  # flat index of each vertex's successor
+        slot, c = np.arange(x.shape[1]), counts[:, None]
+        # the flat index of each vertex's successor
+        nxt = np.arange(0, x.size, slot.size)[:, None] + np.where(slot + 1 < c, slot + 1, 0)
         d = ex * (y - py) - ey * (x - px)
         dn = d.take(nxt)
-        valid, ahead = _SLOT < c, d >= -EDGE_TOL
+        valid, ahead = slot < c, d >= -EDGE_TOL
         keep = ahead & valid
         cross = valid & np.where(ahead, (d > EDGE_TOL) & (dn < -EDGE_TOL), dn > EDGE_TOL)
         ends = np.cumsum(keep.view(np.int8) + cross.view(np.int8), axis=1)
-        at = rows + ends - 1  # the flat slot of each vertex's last output
-        x_out, y_out = np.zeros((2, n, _SLOT.size))
+        width = max(slot.size, ends[:, -1].max(initial=0))
+        at = np.arange(0, n * width, width)[:, None] + ends - 1  # the flat slot of each vertex's last output
+        x_out, y_out = np.zeros((2, n, width))
         i = np.flatnonzero(keep)
+        xk, yk = x.take(i), y.take(i)
+        if snap:
+            dk = d.take(i)
+            xk, yk = np.where(dk < 0.0, xk + dk * ey, xk), np.where(dk < 0.0, yk - dk * ex, yk)
         kept = at.take(i) - cross.take(i)
-        np.put(x_out, kept, x.take(i))
-        np.put(y_out, kept, y.take(i))
+        np.put(x_out, kept, xk)
+        np.put(y_out, kept, yk)
         i = np.flatnonzero(cross)
         dc, xc, yc, succ = d.take(i), x.take(i), y.take(i), nxt.take(i)
         t = dc / (dc - dn.take(i))
@@ -392,19 +351,28 @@ def _clip_padded(quads: np.ndarray, planes) -> tuple:
     return x, y, counts
 
 
+def _edge_planes(quads: np.ndarray) -> list:
+    """The edges 0->1, 1->2, 2->3, 3->0 of a counter-clockwise (n, 4, 2) quad batch as _clip_padded planes."""
+    e = quads[:, [1, 2, 3, 0]] - quads
+    return [(quads[:, k, :1], quads[:, k, 1:], e[:, k, :1], e[:, k, 1:]) for k in range(4)]
+
+
+def _padded_areas(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Shoelace areas of padded (n, m) vertex columns holding counts[i] vertices each, anchored at vertex 0."""
+    x, y = x - x[:, :1], y - y[:, :1]
+    # the terms of vertices j, j + 1 for j = 1..m - 2 (vertex 0's two edges add 0), summed in order by cumsum
+    terms = np.where(np.arange(2, x.shape[1]) < counts[:, None], x[:, 1:-1] * y[:, 2:] - x[:, 2:] * y[:, 1:-1], 0.0)
+    return np.abs(terms.cumsum(axis=1)[:, -1]) / 2.0
+
+
 def intersection_areas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Areas of a[i] ∩ b[i] for two (n, 4, 2) batches of quads in canonical order.
 
-    a[i] is cut by b[i]'s edges and measured with _area's terms in _area's order,
-    so each area is _area(_clip(a[i], _edge_planes(b[i]))) bit for bit.
+    a[i] is cut by b[i]'s edges with _clip_padded and measured with
+    _padded_areas, as polygon_area measures it, _PAIR_BLOCK pairs a pass.
     """
     areas = np.zeros(len(a))
     for i in range(0, len(a), _PAIR_BLOCK):
-        qa, qb = a[i : i + _PAIR_BLOCK], b[i : i + _PAIR_BLOCK]
-        e = qb[:, [1, 2, 3, 0]] - qb  # _edge_planes' edge vectors
-        x, y, counts = _clip_padded(qa, [(qb[:, k, :1], qb[:, k, 1:], e[:, k, :1], e[:, k, 1:]) for k in range(4)])
-        x, y = x - x[:, :1], y - y[:, :1]
-        # the terms of vertices j, j + 1 for j = 1..7 (vertex 0's two edges add 0), summed in order by cumsum
-        terms = np.where(_SLOT[2:] < counts[:, None], x[:, 1:-1] * y[:, 2:] - x[:, 2:] * y[:, 1:-1], 0.0)
-        areas[i : i + _PAIR_BLOCK] = np.abs(terms.cumsum(axis=1)[:, -1]) / 2.0
+        block = slice(i, i + _PAIR_BLOCK)
+        areas[block] = _padded_areas(*_clip_padded(a[block], _edge_planes(b[block])))
     return areas

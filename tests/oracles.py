@@ -194,6 +194,17 @@ def brute_force_ap(samples: list[tuple[float, bool]], total_gt: int) -> float:
     return ap
 
 
+def random_convex_polygon(rng, center, scale, k: int) -> np.ndarray:
+    """Random convex k-gon: k points on a random tilted ellipse, at angles a random gap apart."""
+    gaps = rng.uniform(0.5, 1.5, k)
+    angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.cumsum(gaps) / gaps.sum()
+    rx, ry = rng.uniform(0.3, 1.0, 2) * scale
+    tilt = rng.uniform(0.0, np.pi)
+    c, s = np.cos(tilt), np.sin(tilt)
+    ex, ey = rx * np.cos(angles), ry * np.sin(angles)
+    return np.stack([center[0] + ex * c - ey * s, center[1] + ex * s + ey * c], axis=1)
+
+
 def random_convex_quad(rng, center, scale) -> np.ndarray:
     """Random convex quad: 4 points on a random ellipse at sorted angles."""
     angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 4))
@@ -254,15 +265,23 @@ def normalize_quad_reference(points) -> tuple[np.ndarray, bool]:
     return v, degenerate
 
 
-def _clip_halfplane_reference(poly: list, dist: list) -> list:
-    """One Sutherland-Hodgman step of the former clippers: keep the vertices with dist >= -EDGE_TOL, cut crossing edges."""
+def _clip_halfplane_reference(poly: list, dist: list, snap=None) -> list:
+    """One Sutherland-Hodgman step of the former clippers: keep the vertices with dist >= -EDGE_TOL, cut crossing edges.
+
+    With ``snap=(axis, bound)``, a vertex kept from within EDGE_TOL outside the side takes
+    the side's bound on that axis.
+    """
     k = len(poly)
     out: list = []
     for i in range(k):
         j = i + 1 if i + 1 < k else 0
         dc, dn = dist[i], dist[j]
         if dc >= -EDGE_TOL:
-            out.append(poly[i])
+            if snap is not None and dc < 0.0:
+                axis, bound = snap
+                out.append((bound, poly[i][1]) if axis == 0 else (poly[i][0], bound))
+            else:
+                out.append(poly[i])
         if (dc > EDGE_TOL and dn < -EDGE_TOL) or (dc < -EDGE_TOL and dn > EDGE_TOL):
             t = dc / (dc - dn)
             (xc, yc), (xn, yn) = poly[i], poly[j]
@@ -271,12 +290,15 @@ def _clip_halfplane_reference(poly: list, dist: list) -> list:
 
 
 def clip_to_rect_reference(poly, rect) -> np.ndarray:
-    """clip_to_rect by its former route: per-axis distances sign * (coordinate - bound), x_min, x_max, y_min, y_max."""
+    """clip_to_rect by its former route: per-axis distances sign * (coordinate - bound), x_min, x_max, y_min, y_max.
+
+    A vertex kept from within EDGE_TOL outside a side takes that side's bound.
+    """
     pts = np.asarray(poly, dtype=np.float64).tolist()
     for axis, sign, bound in ((0, 1.0, rect.x_min), (0, -1.0, rect.x_max), (1, 1.0, rect.y_min), (1, -1.0, rect.y_max)):
         if not pts:
             break
-        pts = _clip_halfplane_reference(pts, [sign * (p[axis] - bound) for p in pts])
+        pts = _clip_halfplane_reference(pts, [sign * (p[axis] - bound) for p in pts], snap=(axis, bound))
     return np.array(pts, dtype=np.float64) if pts else np.zeros((0, 2))
 
 
@@ -304,16 +326,26 @@ def convex_intersection_reference(a, b) -> np.ndarray:
     return np.array(pts, dtype=np.float64) if pts else np.zeros((0, 2))
 
 
+def shoelace_reference(pts: list) -> float:
+    """Unsigned area of a list of [x, y] vertices: shoelace terms relative to vertex 0, summed in vertex order."""
+    if len(pts) < 3:
+        return 0.0
+    x0, y0 = pts[0]
+    s = 0.0
+    for (xa, ya), (xb, yb) in zip(pts[1:], pts[2:]):
+        s += (xa - x0) * (yb - y0) - (xb - x0) * (ya - y0)
+    return abs(s) / 2.0
+
+
 def iou_obb_reference(a, b) -> float:
     """iou_obb by its former pair route, as convex_intersection_reference."""
     from obbkit.errors import GeometryError
-    from obbkit.geometry import _area
 
     va, vb = _canonical_pair_reference(a, b)
-    area_a, area_b = _area(va), _area(vb)
+    area_a, area_b = shoelace_reference(va), shoelace_reference(vb)
     if area_a <= 0.0 and area_b <= 0.0:
         raise GeometryError("IoU undefined: both quads have zero area")
-    inter = _area(_intersect_reference(va, vb))
+    inter = shoelace_reference(_intersect_reference(va, vb))
     union = area_a + area_b - inter
     if union <= 0.0:
         return 0.0
@@ -711,6 +743,8 @@ def _clip_areas_batch_reference(quads: np.ndarray, rect) -> np.ndarray:
         v_nxt = np.take_along_axis(v, nxt[..., None], axis=1)
         emit_cur = (d >= -EDGE_TOL) & valid
         emit_cross = (((d > EDGE_TOL) & (d_nxt < -EDGE_TOL)) | ((d < -EDGE_TOL) & (d_nxt > EDGE_TOL))) & valid
+        # a vertex kept from within EDGE_TOL outside the side takes the side's bound
+        kept = np.where((d < 0.0)[..., None] & (np.arange(2) == axis), bound, v)
         denom = np.where(emit_cross, d - d_nxt, 1.0)
         t = np.where(emit_cross, d / denom, 0.0)
         inter = v + t[..., None] * (v_nxt - v)
@@ -719,7 +753,7 @@ def _clip_areas_batch_reference(quads: np.ndarray, rect) -> np.ndarray:
         new_counts = start[:, -1] + per_edge[:, -1]
         out = np.zeros((n, m_cap, 2))
         flat = out.reshape(-1, 2)
-        flat[(rows * m_cap + start)[emit_cur]] = v[emit_cur]
+        flat[(rows * m_cap + start)[emit_cur]] = kept[emit_cur]
         flat[(rows * m_cap + start + emit_cur)[emit_cross]] = inter[emit_cross]
         verts = out
         counts = np.where(new_counts >= 3, new_counts, 0)

@@ -33,16 +33,19 @@ from oracles import (
     _ccw,
     _count_hits,
     _inside_convex,
+    _intersect_reference,
     _split_samples,
     clip_to_rect_reference,
     convex_intersection_reference,
     iou_obb_reference,
     mc_intersection_area,
     normalize_quad_reference,
+    random_convex_polygon,
     random_convex_quad,
     raster_clip_area,
     raster_iou,
     rect_iou_reference,
+    shoelace_reference,
 )
 
 FRAME = RectAA(0.0, 0.0, 100.0, 100.0)
@@ -163,9 +166,9 @@ class TestClipToRect:
     def test_clipping_monotone(self, params):
         cx, cy, w, h, ang = params
         quad = quad_from_rect(cx / 10.0, cy / 10.0, w, h, ang)
-        area = polygon_area(clip_to_rect(quad, FRAME))
-        assert area <= polygon_area(quad) + 1e-9
-        assert area <= FRAME.area + 1e-9
+        for area in (polygon_area(clip_to_rect(quad, FRAME)), clip_areas_to_rect(quad[None], FRAME)[0]):
+            assert area <= polygon_area(quad) + 1e-9
+            assert area <= FRAME.area + 1e-9
 
     def test_vertex_just_outside_a_side_is_moved_onto_it(self):
         # the top edge crosses x = 0 at y = 100 + 2.8e-11, inside EDGE_TOL of the y_max side
@@ -173,6 +176,17 @@ class TestClipToRect:
         clipped = clip_to_rect(quad, FRAME)
         assert clipped.tolist() == [[100.0, 0.0], [100.0, 100.0], [0.0, 100.0], [0.0, 0.0]]
         assert polygon_area(clipped) == FRAME.area
+        assert clip_areas_to_rect(quad[None], FRAME).tolist() == [FRAME.area]
+
+    def test_self_intersecting_quad_clipped_to_ten_vertices(self):
+        # a bow-tie can gain two vertices at one side: its rows outgrow the slots a convex quad needs
+        bow_tie = np.array([[56.0, 3.0], [142.0, 126.0], [-13.0, 51.0], [137.0, 119.0]])
+        rect = RectAA(20.0, 20.0, 80.0, 80.0)
+        clipped = clip_to_rect(bow_tie, rect)
+        assert clipped.shape == (10, 2) and _same(clipped, clip_to_rect_reference(bow_tie, rect))
+        batch = np.stack([bow_tie, quad_from_rect(50.0, 50.0, 80.0, 80.0, 10.0), bow_tie[::-1]])
+        want = [polygon_area(clip_to_rect(q, rect)) for q in batch]
+        assert clip_areas_to_rect(batch, rect) == pytest.approx(want, rel=1e-12)
 
 
 class TestConvexIntersection:
@@ -529,7 +543,7 @@ def _reference_pairs():
 
 
 class TestScalarPairRoute:
-    """iou_obb and convex_intersection on Python floats against the former numpy pair route."""
+    """iou_obb and convex_intersection, batch-of-one views of the pair kernel, against the former scalar pair route."""
 
     def test_bit_identical_to_reference(self):
         for a, b in _reference_pairs():
@@ -605,7 +619,8 @@ class TestPairKernel:
             assert _same(got, _outcome(iou_obb_reference, a, b))
 
     def test_batch_order_and_areas_equal_the_scalar_ones(self):
-        # evaluate orders and measures quads in batches; iou_obb orders its pair with canonical_order and measures it with _area
+        # evaluate orders and measures quads in batches, as iou_obb does its pair;
+        # polygon_area sums the same terms, less the two zero ones, in another order
         rng = np.random.default_rng(97)
         quads = np.stack([random_convex_quad(rng, rng.uniform(-1e4, 1e4, 2), rng.uniform(0.5, 500)) for _ in range(3000)])
         quads[::3] = quads[::3, ::-1]  # clockwise
@@ -616,19 +631,27 @@ class TestPairKernel:
 
     def test_clip_to_rect_equals_the_per_axis_route(self):
         rng = np.random.default_rng(101)
-        for _ in range(400):
-            quad = random_convex_quad(rng, rng.uniform(-20, 120, 2), rng.uniform(1, 80))
+        quads = (random_convex_quad(rng, rng.uniform(-20, 120, 2), rng.uniform(1, 80)) for _ in range(400))
+        sides = [3, 5, 8, 12] * 200
+        k_gons = (random_convex_polygon(rng, rng.uniform(-20, 120, 2), rng.uniform(1, 80), k) for k in sides)
+        sizes = set()
+        for poly in itertools.chain(quads, k_gons):
             (x_min, x_max), (y_min, y_max) = np.sort(rng.uniform(0, 100, (2, 2)), axis=1).tolist()
             for rect in (FRAME, RectAA(x_min, y_min, x_max, y_max)):
-                assert _same(clip_to_rect(quad, rect), clip_to_rect_reference(quad, rect))
+                clipped = clip_to_rect(poly, rect)
+                assert _same(clipped, clip_to_rect_reference(poly, rect))
+                assert polygon_area(clipped) == shoelace_reference(clipped.tolist())
+                sizes.add(len(clipped))
+            assert polygon_area(poly) == shoelace_reference(poly.tolist())
+        assert max(sizes) > 8  # more vertices than a clipped quad can have
         flush = np.array([[0.0, 0.0], [100.0, 0.0], [100.0, 50.0], [0.0, 50.0]])  # edges on the frame's
         assert _same(clip_to_rect(flush, FRAME), clip_to_rect_reference(flush, FRAME))
 
 
 def _scalar_intersections(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_area(_clip(a[i], _edge_planes(b[i]))) of each pair, the route intersection_areas batches."""
+    """The area of a[i] cut by b[i]'s edges for each pair, one vertex at a time on Python floats."""
     pairs = zip(a.tolist(), b.tolist())
-    return np.array([geometry._area(geometry._clip(x, geometry._edge_planes(y))) for x, y in pairs], np.float64)
+    return np.array([shoelace_reference(_intersect_reference(x, y)) for x, y in pairs], np.float64)
 
 
 def _ellipse_quad(params) -> np.ndarray:
@@ -652,7 +675,7 @@ convex_quads = st.tuples(
 
 
 class TestIntersectionAreas:
-    """intersection_areas against the scalar clip and area it batches, bit for bit."""
+    """intersection_areas against a one-vertex-at-a-time clip and area on Python floats, bit for bit."""
 
     def _check(self, a, b) -> np.ndarray:
         a, b = canonical_order(np.asarray(a, np.float64)), canonical_order(np.asarray(b, np.float64))

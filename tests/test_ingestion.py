@@ -390,7 +390,7 @@ class TestOrjsonDisagreements:
 
 
 class TestRunSplit:
-    """A bulk run that orjson rejects splits at the line holding the error; stdlib json reads that line alone."""
+    """A bulk run that orjson rejects is read line by line: orjson first, stdlib json for the lines it rejects."""
 
     @staticmethod
     def stdlib_reads(lines: list[str]) -> list[str]:
@@ -424,7 +424,7 @@ class TestRunSplit:
         assert formats.BULK_LINES == 256 and all(len(line) <= formats.BULK_LINE_CHARS for line in lines)
         seen = self.stdlib_reads(lines)
         assert set(seen) == set(bad.values())
-        # each is read at its split, and a flagged record once more before it is validated
+        # each is read once after orjson rejects it, and a flagged record once more before it is validated
         assert sum(map(len, seen)) <= 2 * sum(map(len, bad.values()))
         want = outcome(parse_detection_chunk_reference, lines)
         assert outcome(parse_detection_chunk, lines) == want
@@ -433,8 +433,8 @@ class TestRunSplit:
     def test_earlier_unterminated_line_breaks_the_run_at_a_later_valid_line(self):
         lines = self.block()
         lines[150] = '{"a": {"b": 1}\n'
-        assert json.loads(lines[151])  # the line orjson's error lands on reads alone
-        assert self.stdlib_reads(lines) == [lines[151], lines[150]]
+        assert json.loads(lines[151])  # the line the bulk decode's error lands on, which orjson reads alone
+        assert self.stdlib_reads(lines) == [lines[150]]
         want = outcome(parse_detection_chunk_reference, lines)
         assert outcome(parse_detection_chunk, lines) == want
         assert want[:3] == (256, 1, ["line 157: skipped: invalid JSON: Expecting ',' delimiter"])
@@ -449,10 +449,18 @@ class TestRunSplit:
         assert outcome(parse_detection_chunk, lines) == outcome(parse_detection_chunk_reference, lines)
 
     def test_line_holding_a_separator_matches_the_reference(self):
-        # "\n," inside a line miscounts the line of a later error: the split then costs time, not values
+        # "\n," inside a line adds a value to the bulk decode; orjson and stdlib json both reject the line alone
         lines = self.block()
         lines[40] = '{"a": 1}\n,{"b": NaN}\n'
         lines[90] = record_text(x="NaN") + "\n"
         want = outcome(parse_detection_chunk_reference, lines)
         assert outcome(parse_detection_chunk, lines) == want
         assert want[:2] == (256, 2)
+
+    def test_all_nan_block(self):
+        lines = [record_text(frame=str(i % 50), x="NaN", video_id=f'"v{i}"') + "\n" for i in range(formats.BULK_LINES)]
+        # each is read once after orjson rejects it, and once more before its flagged record is validated
+        assert sorted(self.stdlib_reads(lines)) == sorted(lines * 2)
+        want = outcome(parse_detection_chunk_reference, lines)
+        assert outcome(parse_detection_chunk, lines) == want
+        assert want[:2] == (256, 256)
