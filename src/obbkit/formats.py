@@ -462,8 +462,8 @@ class DetectionChunk:
             yield Detection(video_id=video_id, frame_index=frame, class_id=class_id, quad=quad, confidence=conf)
 
 
-BULK_LINES = 256  # record lines per bulk JSON decode: bounds the decoded objects alive at once
-BULK_LINE_CHARS = 1024  # longest line decoded in bulk: it nests at most 512 deep, which stdlib json reads too
+BULK_LINES = 256  # record lines per block, decoded by one json.loads: bounds the decoded objects alive at once
+BULK_LINE_CHARS = 1024  # longest line orjson decodes: it nests at most 512 deep, which stdlib json reads too
 SCAN_BYTES = 1 << 16  # bytes read at a time while finding chunk boundaries; forked workers inherit the buffer
 
 _FIELDS = ("video_id", "frame", "class", "poly", "conf")
@@ -484,60 +484,40 @@ def _decode_one(text: str, k: int, faults: dict[int, str]):
     return _UNDECODED
 
 
-class _BulkDecoder(json.JSONDecoder):
-    """The decoder of bulk runs, ``json.loads(text, cls=_BulkDecoder)``: orjson alone.
+class _LineDecoder(json.JSONDecoder):
+    """``json.loads("", cls=_LineDecoder, lines=texts)``: orjson's value of each line, read on its own.
 
-    orjson's JSONDecodeError is a ``json.JSONDecodeError``.
+    Going through json.loads lets the benchmark's layer tracer time each
+    block's decode.  A line that orjson rejects, or that is longer than
+    BULK_LINE_CHARS, reads _UNDECODED.
     """
 
-    def decode(self, s, *args):
-        return orjson.loads(s)
+    def __init__(self, lines: list[str]):
+        self.lines = lines
 
-
-def _decode_block(texts: list[str], faults: dict[int, str]) -> list:
-    """The decoded value of each line; _UNDECODED where that fails, with ``faults[k]`` set.
-
-    orjson reads the lines of up to BULK_LINE_CHARS characters whose last
-    non-space character is ``}`` as one run, decoded by one
-    ``json.loads(..., cls=_BulkDecoder)``.  The run's decode is kept if it
-    gives one value per line; unless a value holds a nested dict (the
-    caller then decodes the block line by line), the newline after each
-    line's final ``}``, which no JSON string can hold, proves that it
-    closes the line's own object.  Otherwise orjson reads the run's lines
-    one at a time, and stdlib json reads each line that orjson rejects, as
-    it reads every line outside the run.
-    """
-    values = [_UNDECODED] * len(texts)
-    bulk = [k for k, text in enumerate(texts) if len(text) <= BULK_LINE_CHARS and text.rstrip().endswith("}")]
-    single = set(range(len(texts))).difference(bulk)
-    try:
-        decoded = json.loads("[" + "\n,".join([texts[k] for k in bulk]) + "\n]", cls=_BulkDecoder)
-    except json.JSONDecodeError:
-        decoded = []
-    if len(decoded) == len(bulk):
-        for k, value in zip(bulk, decoded):
-            values[k] = value
-    else:
-        for k in bulk:
+    def decode(self, s, *args) -> list:
+        values = []
+        for text in self.lines:
             try:
-                values[k] = orjson.loads(texts[k])
+                values.append(orjson.loads(text) if len(text) <= BULK_LINE_CHARS else _UNDECODED)
             except orjson.JSONDecodeError:
-                single.add(k)
-    for k in sorted(single):
+                values.append(_UNDECODED)
+        return values
+
+
+def _decode_block(texts: list[str], faults: dict[int, str]) -> tuple[list, set[int]]:
+    """The decoded value of each line, and the lines that stdlib json read.
+
+    orjson reads each line of up to BULK_LINE_CHARS characters on its own
+    (one _LineDecoder pass).  Stdlib json reads the lines it rejects and
+    the longer ones, which could nest deeper than stdlib json reads; a
+    line both reject reads _UNDECODED, with ``faults[k]`` set.
+    """
+    values = json.loads("", cls=_LineDecoder, lines=texts)
+    by_stdlib = {k for k, value in enumerate(values) if value is _UNDECODED}
+    for k in by_stdlib:
         values[k] = _decode_one(texts[k], k, faults)
-    return values
-
-
-def _holds_dict(value) -> bool:
-    """Whether a decoded JSON value holds a dict below its top level."""
-    stack = list(value.values()) if type(value) is dict else [value]
-    while stack:
-        item = stack.pop()
-        if type(item) is dict:
-            return True
-        if type(item) is list:
-            stack.extend(item)
-    return False
+    return values, by_stdlib
 
 
 def _all_len(items: list, n: int) -> bool:
@@ -627,9 +607,9 @@ def parse_detection_chunk(
     lines are not records; lines at the indices in ``invalid_utf8`` held
     bytes that are not UTF-8.  In lax mode each invalid record is skipped
     with a ``line N: skipped: <reason>`` warning, in line order; in strict
-    mode the first one raises ParseError.  Blocks of BULK_LINES lines are
-    decoded at once and checked by column; only flagged records go through
-    validate_detection_obj, so results equal a per-line decode and check.
+    mode the first one raises ParseError.  Each line is decoded alone, and
+    blocks of BULK_LINES records are checked by column; only flagged ones
+    go through validate_detection_obj, so results equal a per-line check.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()  # the cyclic GC would scan a block's decoded objects many times over
@@ -643,16 +623,11 @@ def parse_detection_chunk(
             block = rows[lo : lo + BULK_LINES]
             texts = [lines[i] for i in block]
             bad: dict[int, str] = {}
-            values = _decode_block(texts, bad)
+            values, by_stdlib = _decode_block(texts, bad)
             ids, *cells, flag = _check_columns(values, class_map, meta)
-            # records that pass every check hold no dict; a flagged one that does may span lines
-            if any(_holds_dict(values[k]) for k in np.flatnonzero(flag).tolist()):
-                bad.clear()
-                values = [_decode_one(text, k, bad) for k, text in enumerate(texts)]
-                ids, *cells, flag = _check_columns(values, class_map, meta)
             keep = ~flag
             for k in np.flatnonzero(flag).tolist():
-                if values[k] is not _UNDECODED:  # as stdlib json reads it: orjson reads integers beyond 64 bits as floats
+                if k not in by_stdlib:  # as stdlib json reads it: orjson reads integers beyond 64 bits as floats
                     values[k] = _decode_one(texts[k], k, bad)
                 if values[k] is _UNDECODED:
                     continue

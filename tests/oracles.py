@@ -720,8 +720,8 @@ def _clip_areas_batch_reference(quads: np.ndarray, rect) -> np.ndarray:
     from obbkit.geometry import EDGE_TOL
 
     n = quads.shape[0]
-    m_cap = 9  # a quad clipped by 4 half-planes has at most 8 vertices
-    verts = np.zeros((n, m_cap, 2))
+    width = 9  # a convex quad clipped by 4 half-planes has at most 8 vertices; a plane that gives a row more widens every row
+    verts = np.zeros((n, width, 2))
     verts[:, :4] = quads
     counts = np.full(n, 4, dtype=np.int64)
     rows = np.arange(n)[:, None]
@@ -751,10 +751,11 @@ def _clip_areas_batch_reference(quads: np.ndarray, rect) -> np.ndarray:
         per_edge = emit_cur.astype(np.int64) + emit_cross.astype(np.int64)
         start = np.cumsum(per_edge, axis=1) - per_edge
         new_counts = start[:, -1] + per_edge[:, -1]
-        out = np.zeros((n, m_cap, 2))
+        width = max(width, int(new_counts.max(initial=0)))
+        out = np.zeros((n, width, 2))
         flat = out.reshape(-1, 2)
-        flat[(rows * m_cap + start)[emit_cur]] = kept[emit_cur]
-        flat[(rows * m_cap + start + emit_cur)[emit_cross]] = inter[emit_cross]
+        flat[(rows * width + start)[emit_cur]] = kept[emit_cur]
+        flat[(rows * width + start + emit_cur)[emit_cross]] = inter[emit_cross]
         verts = out
         counts = np.where(new_counts >= 3, new_counts, 0)
     m = verts.shape[1]

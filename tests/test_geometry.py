@@ -35,6 +35,7 @@ from oracles import (
     _inside_convex,
     _intersect_reference,
     _split_samples,
+    clip_areas_to_rect_reference,
     clip_to_rect_reference,
     convex_intersection_reference,
     iou_obb_reference,
@@ -187,6 +188,8 @@ class TestClipToRect:
         batch = np.stack([bow_tie, quad_from_rect(50.0, 50.0, 80.0, 80.0, 10.0), bow_tie[::-1]])
         want = [polygon_area(clip_to_rect(q, rect)) for q in batch]
         assert clip_areas_to_rect(batch, rect) == pytest.approx(want, rel=1e-12)
+        for rows in (batch, batch[:1], batch[::-1]):  # the batch oracle widens its rows by its own rule: same bits
+            assert _same(clip_areas_to_rect(rows, rect), clip_areas_to_rect_reference(rows, rect))
 
 
 class TestConvexIntersection:
