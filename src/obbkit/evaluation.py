@@ -169,15 +169,16 @@ def _match_split(labels: SplitLabels, video_ids, classes, confs, quads, degenera
     pred_quads, gt_quads = quads[order], labels.quads
     pb, gb = enclosing_bounds(pred_quads)[pair_pred], enclosing_bounds(gt_quads)[pair_gt]
     near = (pb[:, 0] <= gb[:, 2]) & (gb[:, 0] <= pb[:, 2]) & (pb[:, 1] <= gb[:, 3]) & (gb[:, 1] <= pb[:, 3])
-    hbb_ious = rect_ious(pb[near], gb[near]).tolist() if box_mode == "hbb" else None
+    # every candidate pair's IoU, before the greedy loop reads them
+    ious = rect_ious(pb[near], gb[near]).tolist() if box_mode == "hbb" else []
     pair_pred, pair_gt = pair_pred[near], pair_gt[near]
     del pb, gb  # as long as the unfiltered pairs: dropped before the areas' temporaries
-    if hbb_ious is None:  # every candidate pair's intersection area, one block of gathered quads at a time
-        inters = []
-        for i in range(0, pair_pred.size, _PAIR_BLOCK):
-            block = slice(i, i + _PAIR_BLOCK)
-            inters += intersection_areas(pred_quads[pair_pred[block]], gt_quads[pair_gt[block]]).tolist()
+    if box_mode == "obb":  # one block of gathered quads at a time
         pred_areas, gt_areas = shoelace_areas(pred_quads), shoelace_areas(gt_quads)
+        for i in range(0, pair_pred.size, _PAIR_BLOCK):
+            p, g = pair_pred[i : i + _PAIR_BLOCK], pair_gt[i : i + _PAIR_BLOCK]
+            inters = intersection_areas(pred_quads[p], gt_quads[g])
+            ious += map(iou_obb, inters.tolist(), pred_areas[p].tolist(), gt_areas[g].tolist())
     pair_gt = pair_gt.tolist()
     cuts = np.searchsorted(pair_pred, np.arange(n + 1))
     rows = np.flatnonzero(np.diff(cuts)).tolist()  # the predictions with a candidate (np.unique would load numpy.ma)
@@ -186,16 +187,11 @@ def _match_split(labels: SplitLabels, video_ids, classes, confs, quads, degenera
     claimed, best_ious = [-1] * n, [0.0] * n
     taken: set[int] = set()
     for row in rows:
-        if hbb_ious is None:
-            area = float(pred_areas[row])
         best_iou, best_gt = 0.0, -1
         for k in range(cuts[row], cuts[row + 1]):
             g = pair_gt[k]
-            if g in taken:
-                continue
-            iou = iou_obb(inters[k], area, float(gt_areas[g])) if hbb_ious is None else hbb_ious[k]
-            if iou > best_iou:
-                best_iou, best_gt = iou, g
+            if g not in taken and ious[k] > best_iou:
+                best_iou, best_gt = ious[k], g
         if best_gt >= 0 and best_iou >= iou_threshold:
             taken.add(best_gt)
             claimed[row] = best_gt

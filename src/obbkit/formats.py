@@ -87,15 +87,18 @@ class FrameMeta:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "FrameMeta":
+        """The FrameMeta of a metadata JSON object: video_id a string, the other fields numbers, frame_count a whole one."""
         obj = read_json_object(path, "metadata", DataError)
+        values = {"fps": 1.0, "frame_count": 0, "video_id": "", **obj}
         try:
-            return cls(
-                width=float(obj["width"]),
-                height=float(obj["height"]),
-                fps=float(obj.get("fps", 1.0)),
-                frame_count=int(obj.get("frame_count", 0)),
-                video_id=str(obj.get("video_id", "")),
-            )
+            for name in ("width", "height", "fps", "frame_count"):
+                if isinstance(values[name], bool) or not isinstance(values[name], (int, float)):
+                    raise TypeError(f"{name} must be a number, got {values[name]!r}")
+            if int(values["frame_count"]) != values["frame_count"]:  # int() raises on an infinity or NaN
+                raise TypeError(f"frame_count must be an integer, got {values['frame_count']!r}")
+            if not isinstance(values["video_id"], str):
+                raise TypeError(f"video_id must be a string, got {values['video_id']!r}")
+            return cls(float(values["width"]), float(values["height"]), float(values["fps"]), int(values["frame_count"]), values["video_id"])
         except KeyError as exc:
             raise DataError(f"{path}: missing metadata field {exc.args[0]!r}") from None
         except (TypeError, ValueError, OverflowError, ConfigError) as exc:
@@ -440,8 +443,9 @@ class DetectionChunk:
     """The records of consecutive detection lines, as columns.
 
     Columns hold the kept records in line order, quads ``(n, 4, 2)`` in
-    their input vertex order.  ``max_frame`` covers every record that
-    passed validation, degenerate ones included (-1 if there is none).
+    canonical vertex order (``geometry.canonical_order``).  ``max_frame``
+    covers every record that passed validation, degenerate ones included
+    (-1 if there is none).
     """
 
     n_records: int
@@ -455,9 +459,8 @@ class DetectionChunk:
     quads: np.ndarray  # float64
 
     def detections(self) -> Iterator[Detection]:
-        """The kept records as Detections, quads in canonical order."""
-        quads = canonical_order(self.quads)
-        columns = self.video_ids, self.frames.tolist(), self.classes.tolist(), quads, self.confs.tolist()
+        """The kept records as Detections."""
+        columns = self.video_ids, self.frames.tolist(), self.classes.tolist(), self.quads, self.confs.tolist()
         for video_id, frame, class_id, quad, conf in zip(*columns):
             yield Detection(video_id=video_id, frame_index=frame, class_id=class_id, quad=quad, confidence=conf)
 
@@ -610,6 +613,7 @@ def parse_detection_chunk(
     mode the first one raises ParseError.  Each line is decoded alone, and
     blocks of BULK_LINES records are checked by column; only flagged ones
     go through validate_detection_obj, so results equal a per-line check.
+    The kept quads are put in canonical order, once, for every command.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()  # the cyclic GC would scan a block's decoded objects many times over
@@ -658,6 +662,7 @@ def parse_detection_chunk(
         faults.update((kept_rows[i], "degenerate quad") for i in np.flatnonzero(degenerate).tolist())
         video_ids = list(compress(video_ids, (~degenerate).tolist()))
         frames, classes, quads, confs = (col[~degenerate] for col in (frames, classes, quads, confs))
+    quads = canonical_order(quads)  # after degenerate_mask: its area test reads the quads as written
     ordered = sorted(faults.items())
     if strict and ordered:
         raise ParseError(ordered[0][1], first_line_no + ordered[0][0])

@@ -5,10 +5,14 @@ vertices in order; an empty polygon is an array of shape (0, 2).
 _clip_padded, the one Sutherland-Hodgman clip, cuts (n, k, 2) polygon
 batches held in padded vertex columns: clip_areas_to_rect cuts quads by
 the frame's sides with it, and intersection_areas, evaluate's pair
-kernel, cuts each quad by the other's edges.  The other batch kernels
-(canonical order, degeneracy, areas, enclosing bounds, orientation) work
-on the eight coordinate columns of (n, 4, 2) quad batches, in the order
-of numpy's reduction over the vertex axis, so they keep its bits.  The
+kernel, cuts each quad by the other's edges.  Every polygon area is one
+shoelace sum, its terms taken relative to vertex 0 and summed in vertex
+order (_padded_areas; shoelace_areas is the same sum for quads), so an
+area's last bit depends on the starting vertex: the file readers put
+every quad in canonical order once.  The other batch kernels (canonical
+order, degeneracy, areas, enclosing bounds, orientation) work on the
+eight coordinate columns of (n, 4, 2) quad batches, in the order of
+numpy's reduction over the vertex axis, so they keep its bits.  The
 one-polygon functions are batch-of-one views of the kernels and pay
 their numpy overhead on every call.  Pixel coordinates only: EDGE_TOL is
 absolute, so a 1e-5 x 1e-5 (normalized) box reads degenerate.
@@ -272,12 +276,11 @@ def orientations_deg(quads: np.ndarray) -> np.ndarray:
 
 
 def clip_areas_to_rect(quads: np.ndarray, rect: RectAA) -> np.ndarray:
-    """Areas of quad ∩ rect for an (n, 4, 2) batch.
+    """Areas of quad ∩ rect for an (n, 4, 2) batch: polygon_area(clip_to_rect(quad, rect)) of each quad.
 
-    Quads fully inside the rectangle take a plain shoelace fast path;
-    the rest run clip_to_rect's clip, snap included, and sum each row
-    with numpy.  Results match polygon_area(clip_to_rect(quad, rect))
-    bit-for-bit on the fast path and to ~1e-11 px^2 on the clipped path.
+    Quads fully inside the rectangle take a plain shoelace fast path (its
+    terms and order are _padded_areas'); the rest run clip_to_rect's clip,
+    snap included, and _padded_areas.
     """
     n = quads.shape[0]
     if n == 0:
@@ -289,17 +292,8 @@ def clip_areas_to_rect(quads: np.ndarray, rect: RectAA) -> np.ndarray:
         areas[inside] = shoelace_areas(quads[inside])
     rest = ~inside
     if rest.any():
-        areas[rest] = _clip_areas_batch(quads[rest], rect)
+        areas[rest] = _padded_areas(*_clip_padded(quads[rest], _rect_planes(rect), snap=True))
     return areas
-
-
-def _clip_areas_batch(quads: np.ndarray, rect: RectAA) -> np.ndarray:
-    x, y, counts = _clip_padded(quads, _rect_planes(rect), snap=True)
-    slot = np.arange(x.shape[1])
-    nxt = np.arange(0, x.size, slot.size)[:, None] + np.where(slot + 1 < counts[:, None], slot + 1, 0)
-    x, y = x - x[:, :1], y - y[:, :1]
-    s = np.where(slot < counts[:, None], x * y.take(nxt) - x.take(nxt) * y, 0.0).sum(axis=1)
-    return np.abs(s) / 2.0
 
 
 _PAIR_BLOCK = 256  # intersection_areas' pairs per pass, which bound its temporaries
@@ -312,13 +306,13 @@ def _clip_padded(polys: np.ndarray, planes, snap: bool = False) -> tuple:
     EDGE_TOL; its terms are scalars or (n, 1) columns.  With ``snap``
     (scalar unit-length planes only), a vertex kept from within EDGE_TOL
     outside a plane is moved onto it, so the result lies inside every plane.
-    Rows hold k + 5 vertex slots: a convex k-gon cut by 4 planes has at most
+    Rows hold k + 4 vertex slots: a convex k-gon cut by 4 planes has at most
     k + 4 vertices, and a plane that gives a non-convex row more widens every
     row.  Returns the (n, m) x and y vertex columns and the vertex counts; a
     row of fewer than 3 vertices, cut or not, counts 0.
     """
     n, k = polys.shape[:2]
-    x, y = np.zeros((2, n, k + 5))
+    x, y = np.zeros((2, n, k + 4))
     x[:, :k], y[:, :k] = polys[..., 0], polys[..., 1]
     counts = np.full(n, k if k >= 3 else 0)
     for px, py, ex, ey in planes:

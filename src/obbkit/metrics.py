@@ -11,8 +11,7 @@ The columnar kernels (coverage_columns, filter_coverage and
 aggregate_columns, chained by reduce_coverage for analyze) are the only
 implementation.  The one-brand functions frame_coverage,
 aggregate_brand, temporal_filter and build_timeline are views of them,
-so they give analyze's bits; frame_coverage now sums in record order
-(it used math.fsum, so its last bit can differ from earlier versions).
+so they give analyze's bits.
 """
 
 from __future__ import annotations
@@ -236,9 +235,8 @@ def frame_coverage(dets: list[Detection], meta: FrameMeta) -> FrameCoverage:
     """Coverage of one brand's detections within one frame, as analyze computes it.
 
     All detections must share brand and frame; an empty list yields
-    c=0, z=0, count=0.  analyze clips quads in the stream's vertex order,
-    so the bits match its timeline only for quads in that order; parsed
-    Detections are in canonical order, which can change an area's last bit.
+    c=0, z=0, count=0.  The quads are clipped in the vertex order given:
+    parsed Detections, in canonical order, give analyze's timeline cell.
     """
     if not dets:
         return FrameCoverage(frame_index=0, brand_id=0, c=0.0, z=0, detection_count=0)

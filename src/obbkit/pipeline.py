@@ -27,7 +27,7 @@ from . import evaluation, metrics, tightness
 from .errors import ConfigError, DataError
 from .formats import ClassMap, FrameMeta, line_ranges, read_detection_range, read_split_labels, write_json_report, write_table
 from .formats import iter_detections, read_label_file, validate_detection_obj  # noqa: F401 - bound for the benchmark's layer tracer
-from .geometry import RectAA, canonical_order, clip_areas_to_rect
+from .geometry import RectAA, clip_areas_to_rect
 from .geometry import degenerate_mask  # noqa: F401 - bound for the benchmark's layer tracer
 from .losses import LossParams, run_loss_checks
 
@@ -299,7 +299,7 @@ def run_evaluate(cfg: EvaluateConfig, config_echo: dict | None = None) -> RunRep
         video_ids = [v for c in chunks for v in c.video_ids]
         classes = np.concatenate([np.zeros(0, np.int64), *(c.classes for c in chunks)])
         confs = np.concatenate([np.zeros(0), *(c.confs for c in chunks)])
-        quads = np.concatenate([np.zeros((0, 4, 2)), *(canonical_order(c.quads) for c in chunks)])
+        quads = np.concatenate([np.zeros((0, 4, 2)), *(c.quads for c in chunks)])
         stems = set(labels.stems)
         unmatched = [v for v in video_ids if v not in stems]
         n_unmatched, named = len(unmatched), list(dict.fromkeys(unmatched))[:UNMATCHED_SAMPLES]
@@ -387,7 +387,7 @@ def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
         if cfg.detections is not None:
             for chunk in _detection_chunks(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings):
                 n_pred_skipped += chunk.n_skipped
-                blocks["prediction"].append(tightness.tr_sample(canonical_order(chunk.quads)))
+                blocks["prediction"].append(tightness.tr_sample(chunk.quads))
         n = {source: sum(trs.size for trs, _ in parts) for source, parts in blocks.items()}
         if not any(n.values()):
             raise DataError("no valid samples for TR analysis")

@@ -716,7 +716,7 @@ def orientations_deg_reference(quads: np.ndarray) -> np.ndarray:
 
 
 def _clip_areas_batch_reference(quads: np.ndarray, rect) -> np.ndarray:
-    """The clipped path of clip_areas_to_rect as its own padded loop, independent of the kernel that geometry shares with intersection_areas."""
+    """The clipped path of clip_areas_to_rect as its own padded loop, independent of the kernel that geometry shares with intersection_areas; each row measured by shoelace_reference."""
     from obbkit.geometry import EDGE_TOL
 
     n = quads.shape[0]
@@ -758,16 +758,7 @@ def _clip_areas_batch_reference(quads: np.ndarray, rect) -> np.ndarray:
         flat[(rows * width + start + emit_cur)[emit_cross]] = inter[emit_cross]
         verts = out
         counts = np.where(new_counts >= 3, new_counts, 0)
-    m = verts.shape[1]
-    idx = np.arange(m)
-    valid = idx < counts[:, None]
-    nxt = np.where(idx + 1 < counts[:, None], idx + 1, 0)
-    rel = verts - verts[:, :1]
-    x, y = rel[..., 0], rel[..., 1]
-    x_n = np.take_along_axis(x, nxt, axis=1)
-    y_n = np.take_along_axis(y, nxt, axis=1)
-    s = np.where(valid, x * y_n - x_n * y, 0.0).sum(axis=1)
-    return np.abs(s) / 2.0
+    return np.array([shoelace_reference(row[:count].tolist()) for row, count in zip(verts, counts.tolist())], np.float64)
 
 
 def clip_areas_to_rect_reference(quads: np.ndarray, rect) -> np.ndarray:
@@ -991,7 +982,7 @@ def parse_detection_chunk_reference(
     meta=None,
     strict: bool = False,
 ):
-    """The line-at-a-time detection parser: one json.loads and one validate_detection_obj per line.
+    """The line-at-a-time detection parser: one json.loads and one validate_detection_obj per line, kept quads in canonical order.
 
     A line that stdlib json cannot decode is skipped as the parser documents
     it: for an integer literal beyond the interpreter's digit limit and for
@@ -1053,6 +1044,7 @@ def parse_detection_chunk_reference(
             [v for v, k in zip(col, keep) if k] for col in (video_ids, frames, classes, confs)
         )
         quads = quads[~degenerate]
+    quads = canonical_order_reference(quads)
     if strict and faults:
         raise ParseError(faults[0][1], faults[0][0])
     return DetectionChunk(

@@ -1070,11 +1070,16 @@ class TestInputFiles:
             (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 100, "height": 100, "frame_count": 1e999}', 2, "invalid metadata: cannot convert"),
             (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 1e999, "height": 100}', 2, "invalid metadata: frame dimensions"),
             (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 100, "height": 1' + b"0" * 400 + b"}", 2, "invalid metadata: int too large"),
+            (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": "100", "height": 100}', 2, "invalid metadata: width must be a number, got '100'"),
+            (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 100, "height": 100, "fps": true}', 2, "invalid metadata: fps must be a number, got True"),
+            (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 100, "height": 100, "frame_count": 2.7}', 2, "invalid metadata: frame_count must be an integer, got 2.7"),
+            (["analyze", "--detections", "{preds}", "--meta", "{bad}"], b'{"width": 100, "height": 100, "video_id": null}', 2, "invalid metadata: video_id must be a string, got None"),
         ],
         ids=[
             "meta-syntax", "meta-utf8", "meta-nesting", "classes-utf8", "params-syntax", "params-nesting",
             "meta-not-an-object", "params-not-an-object", "meta-fps-nan", "meta-fps-inf", "evaluate-meta-fps-nan",
-            "meta-frame-count-inf", "meta-width-inf", "meta-height-beyond-float",
+            "meta-frame-count-inf", "meta-width-inf", "meta-height-beyond-float", "meta-width-string", "meta-fps-bool",
+            "meta-frame-count-fraction", "meta-video-id-null",
         ],
     )
     def test_undecodable_config_file(self, tmp_path, capsys, argv, content, want_code, message):

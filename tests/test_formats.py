@@ -254,7 +254,7 @@ class TestBlockedDetectionStream:
 
 
 class TestDetectionChunk:
-    GOOD = detection_line("v", 7, 2, quad_from_rect(50, 50, 10, 5, 20), 0.8)
+    GOOD = detection_line("v", 7, 2, quad_from_rect(50, 50, 10, 5, 200), 0.8)  # written from its third canonical vertex
     BOWTIE = detection_line("v", 9, 0, [[0, 0], [1, 1], [1, 0], [0, 1]], 0.9)
     LINES = [GOOD + "\n", "\n", BOWTIE + "\n", '{"oops\n', GOOD + "\n"]
 
@@ -274,6 +274,7 @@ class TestDetectionChunk:
     def test_detections_are_canonical(self):
         chunk = parse_detection_chunk(self.LINES, 1)
         expected = normalize_quad(json.loads(self.GOOD)["poly"])[0]
+        assert chunk.quads.tobytes() == np.stack([expected, expected]).tobytes()
         for det in chunk.detections():
             assert det.quad.tobytes() == expected.tobytes()
             assert not det.degenerate

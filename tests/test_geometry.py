@@ -179,6 +179,15 @@ class TestClipToRect:
         assert polygon_area(clipped) == FRAME.area
         assert clip_areas_to_rect(quad[None], FRAME).tolist() == [FRAME.area]
 
+    @seed(2025)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(-20.0, 120.0)] * 2, *[st.floats(1.0, 80.0)] * 2, st.floats(0.0, 180.0)), min_size=1, max_size=24))
+    def test_batch_areas_are_the_one_polygon_areas(self, params):
+        """clip_areas_to_rect measures each quad as polygon_area(clip_to_rect(quad, rect)) does, bit for bit, inside the frame or across a side."""
+        quads = np.stack([quad_from_rect(*p) for p in params])
+        want = [polygon_area(clip_to_rect(q, FRAME)) for q in quads]
+        assert _same(clip_areas_to_rect(quads, FRAME), np.array(want))
+
     def test_self_intersecting_quad_clipped_to_ten_vertices(self):
         # a bow-tie can gain two vertices at one side: its rows outgrow the slots a convex quad needs
         bow_tie = np.array([[56.0, 3.0], [142.0, 126.0], [-13.0, 51.0], [137.0, 119.0]])
@@ -187,7 +196,7 @@ class TestClipToRect:
         assert clipped.shape == (10, 2) and _same(clipped, clip_to_rect_reference(bow_tie, rect))
         batch = np.stack([bow_tie, quad_from_rect(50.0, 50.0, 80.0, 80.0, 10.0), bow_tie[::-1]])
         want = [polygon_area(clip_to_rect(q, rect)) for q in batch]
-        assert clip_areas_to_rect(batch, rect) == pytest.approx(want, rel=1e-12)
+        assert _same(clip_areas_to_rect(batch, rect), np.array(want))
         for rows in (batch, batch[:1], batch[::-1]):  # the batch oracle widens its rows by its own rule: same bits
             assert _same(clip_areas_to_rect(rows, rect), clip_areas_to_rect_reference(rows, rect))
 

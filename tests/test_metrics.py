@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from obbkit.cli import main
 from obbkit.errors import ConfigError
 from conftest import read_table_csv, traced_peak
-from obbkit.formats import Detection, FrameMeta
+from obbkit.formats import Detection, FrameMeta, iter_detections
 from obbkit.geometry import quad_from_rect
 from obbkit.metrics import (
     BrandMetrics,
@@ -69,20 +69,18 @@ class TestFrameCoverage:
             )
 
     def test_bits_equal_the_analyze_timeline(self, tmp_path):
-        """Each (brand, frame) group of a stream gives the coverage cell analyze writes, bit for bit.
+        """Each (brand, frame) group of the parsed records of a stream gives the coverage cell analyze writes, bit for bit.
 
-        The detections keep the stream's vertex order: analyze clips the
-        quads in that order, and the last bits of an area depend on it.
+        The stream's quads start at any vertex; the parser puts them in
+        canonical order for analyze and iter_detections alike.
         """
         rng = np.random.default_rng(21)
-        groups: dict[tuple[int, int], list[Detection]] = {}
         lines = []
         for frame in range(400):
             for brand in range(2):
                 for _ in range(int(rng.integers(3, 8))):
                     cx, cy = rng.uniform(-60.0, 1340.0), rng.uniform(-40.0, 760.0)  # some boxes cross the edge
                     quad = quad_from_rect(cx, cy, rng.uniform(8.0, 300.0), rng.uniform(6.0, 200.0), rng.uniform(0, 180))
-                    groups.setdefault((brand, frame), []).append(det(brand, frame, quad))
                     lines.append(detection_line("v", frame, brand, quad, 0.9))
         stream = tmp_path / "stream.jsonl"
         stream.write_text("\n".join(lines) + "\n")
@@ -91,7 +89,11 @@ class TestFrameCoverage:
         _, rows = read_table_csv(tmp_path / "out" / "timeline.csv")
         written = {(int(r["brand_id"]), int(r["frame_index"])): float(r["coverage"]).hex() for r in rows}
 
+        groups: dict[tuple[int, int], list[Detection]] = {}
+        for d in iter_detections(lines):
+            groups.setdefault((d.class_id, d.frame_index), []).append(d)
         meta = FrameMeta(width=1280.0, height=720.0)
+        assert len(written) == len(groups) == 800
         assert {key: frame_coverage(dets, meta).c.hex() for key, dets in groups.items()} == written
 
 

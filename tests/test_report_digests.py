@@ -7,7 +7,8 @@ directory by ``conftest.make_synthetic_stream`` and by the benchmark's
 generators (``perfbench/gen.py``, imported read-only, at test sizes).
 Each case records its exit code, the digest of every report file and the
 digest of ``run_report.json``'s counts, warnings and summary, with the
-tmp directory replaced by a fixed token.
+tmp directory replaced by a fixed token.  One dense and one sparse
+``analyze`` case run again with two workers and must give the same digests.
 
 A change that moves report bits on purpose rewrites the file with::
 
@@ -149,6 +150,15 @@ def test_matrix_is_pinned(digests, pinned):
 @pytest.mark.parametrize("case", list(CASES))
 def test_report_bytes(digests, pinned, case):
     assert digests[case] == pinned[case]
+
+
+@pytest.mark.parametrize("case", ["analyze-dense-csv", "analyze-sparse-csv-filter"])
+def test_two_workers_write_the_pinned_bytes(inputs, pinned, monkeypatch, tmp_path, case):
+    """The case at ``--jobs 2``, its input cut into chunks of 128 lines, writes the bytes pinned at ``--jobs 1``."""
+    assert CASES[case][-2:] == ["--jobs", "1"]
+    monkeypatch.setitem(CASES, case, [*CASES[case][:-1], "2"])
+    monkeypatch.setattr(pipeline, "CHUNK_LINES", 128)
+    assert run_case(inputs, case, tmp_path / "out") == pinned[case]
 
 
 def _nudged(rows, fieldnames: list[str]):
