@@ -22,9 +22,10 @@ from pathlib import Path
 
 from . import pipeline
 from .errors import ConfigError, ObbkitError
-from .evaluation import INTERPOLATIONS
+from .evaluation import INTERPOLATIONS, check_settings
 from .formats import FrameMeta, load_class_map, read_json_object
 from .losses import LossParams
+from .tightness import check_bin_width
 
 logger = logging.getLogger("obbkit")
 
@@ -55,6 +56,36 @@ def _directory(text: str) -> Path:
     return Path(text)
 
 
+def _checked(parse, check):
+    """argparse type: ``parse`` the text, then ``check`` the value; a ConfigError of ``check`` is argparse's error."""
+
+    def convert(text: str):
+        value = parse(text)
+        try:
+            check(value)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    convert.__name__ = parse.__name__  # argparse names it in "invalid int value: 'x'"
+    return convert
+
+
+def _at_least(low: int):
+    """argparse type of an integer setting of at least ``low``."""
+
+    def check(value: int) -> None:
+        if value < low:
+            raise ConfigError(f"must be >= {low}, got {value}")
+
+    return _checked(int, check)
+
+
+_confidence = _checked(float, lambda value: check_settings(conf_threshold=value))
+_iou = _checked(float, lambda value: check_settings(iou_threshold=value))
+_bin_width = _checked(float, check_bin_width)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
@@ -77,11 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_meta_flags(p)
     p.add_argument("--fps", type=float, help="frame rate (overrides --meta)")
     p.add_argument("--frames", type=int, help="frame count (overrides --meta)")
-    p.add_argument("--conf-threshold", type=float, default=0.5, help="drop detections below this confidence")
-    p.add_argument("--top-k", type=int, default=5, help="ranking length")
-    p.add_argument("--min-run", type=int, default=1, help="suppress visible runs shorter than this many frames")
-    p.add_argument("--max-gap", type=int, default=0, help="bridge invisible gaps up to this many frames")
-    p.add_argument("--jobs", type=int, default=pipeline.default_jobs(), help="worker processes (does not change results)")
+    p.add_argument("--conf-threshold", type=_confidence, default=0.5, help="drop detections below this confidence")
+    p.add_argument("--top-k", type=_at_least(1), default=5, help="ranking length")
+    p.add_argument("--min-run", type=_at_least(1), default=1, help="suppress visible runs shorter than this many frames")
+    p.add_argument("--max-gap", type=_at_least(0), default=0, help="bridge invisible gaps up to this many frames")
+    p.add_argument("--jobs", type=_at_least(1), default=pipeline.default_jobs(), help="worker processes (does not change results)")
     _add_common(p)
 
     p = sub.add_parser("evaluate", help="mAP/precision/recall of predictions against a labeled split")
@@ -89,11 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", type=_file, required=True, help="JSON-lines predictions file")
     p.add_argument("--classes", type=_file, help="class map file")
     _add_meta_flags(p)
-    p.add_argument("--iou-threshold", type=float, default=0.5, help="matching IoU threshold")
+    p.add_argument("--iou-threshold", type=_iou, default=0.5, help="matching IoU threshold")
     p.add_argument("--box-mode", choices=("obb", "hbb"), default="obb", help="match on rotated or enclosing boxes")
     p.add_argument(
         "--conf-threshold",
-        type=float,
+        type=_confidence,
         default=None,
         help="fixed P/R operating point (default: max-F1 point)",
     )
@@ -105,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", type=_file, help="JSON-lines predictions file")
     p.add_argument("--classes", type=_file, help="class map file")
     _add_meta_flags(p)
-    p.add_argument("--bin-width", type=float, default=None, help="orientation bin width in degrees (default: emit 15 and 5)")
+    p.add_argument("--bin-width", type=_bin_width, default=None, help="orientation bin width in degrees (default: emit 15 and 5)")
     _add_common(p)
 
     p = sub.add_parser("losscheck", help="run the loss fixture and gradient suite")
@@ -154,32 +185,19 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
 
 
-_CONFIG_NAMES = {"format": "fmt", "out": "out_dir", "labels": "labels_dir"}  # flag -> config field
 _META_FLAGS = {"width": "width", "height": "height", "fps": "fps", "frames": "frame_count"}  # flag -> FrameMeta field
-_CONFIGS = {
-    "analyze": pipeline.AnalyzeConfig,
-    "evaluate": pipeline.EvaluateConfig,
-    "fit": pipeline.FitConfig,
-    "losscheck": pipeline.LossCheckConfig,
-}
-
-
-def _config(cls, args, **computed):
-    """A command config from the flags named like its fields, plus the ``computed`` fields."""
-    names = {f.name for f in dataclasses.fields(cls)} - computed.keys()
-    flags = {_CONFIG_NAMES.get(k, k): v for k, v in vars(args).items()}
-    return cls(**{k: v for k, v in flags.items() if k in names}, **computed)
 
 
 def _dispatch(args) -> int:
     if args.command == "losscheck":
-        computed = {"params": _loss_params(args)}
+        resolved = {"params": _loss_params(args)}
     else:
+        if args.command == "fit" and args.labels is None and args.detections is None:
+            raise ConfigError("fit requires --labels and/or --detections")
         meta = _resolve_meta(args, require_dims=args.command != "fit" or args.labels is not None)
-        computed = {"meta": meta, "class_map": None if args.classes is None else load_class_map(args.classes)}
-    cfg = _config(_CONFIGS[args.command], args, **computed)
+        resolved = {"meta": meta, "class_map": None if args.classes is None else load_class_map(args.classes)}
     run = getattr(pipeline, f"run_{args.command}")  # looked up per call: the benchmark's layer tracer patches it
-    report = run(cfg, _config_echo(args))
+    report = run(args, _config_echo(args), **resolved)
     if args.command != "losscheck":
         print(json.dumps(report.to_payload(), indent=2))
         return EXIT_OK

@@ -105,12 +105,12 @@ class MatchAudit:
 
 
 def check_settings(
-    iou_threshold: float,
-    box_mode: str,
+    iou_threshold: float = 0.5,
+    box_mode: str = "obb",
     conf_threshold: float | None = None,
     interpolation: str = "all_points",
 ) -> None:
-    """Raise ConfigError on a setting that evaluate cannot use."""
+    """Raise ConfigError on a setting that evaluate cannot use; the defaults pass."""
     if not 0.0 < iou_threshold < 1.0:
         raise ConfigError(f"iou threshold must be in (0, 1), got {iou_threshold}")
     if box_mode not in ("obb", "hbb"):
@@ -336,7 +336,7 @@ def evaluate_columns(
     total_gt = sum(gt_per_class.values())
     if total_gt == 0:
         raise DataError("evaluation requires at least one ground-truth instance")
-    check_settings(iou_threshold, box_mode)
+    check_settings(iou_threshold, box_mode, conf_threshold, interpolation)
     degenerate = np.zeros(len(video_ids), bool) if degenerate is None else degenerate
     order, claimed, ious = _match_split(labels, video_ids, classes, confs, quads, degenerate, iou_threshold, box_mode, audit)
     tp = claimed >= 0

@@ -142,6 +142,8 @@ def load_class_map(path: str | Path) -> ClassMap:
     names = [line.rstrip("\r\n") for line in lines]
     while names and names[-1] == "":
         names.pop()
+    if not names:
+        raise DataError(f"{path}: class map has no names")
     if any(name == "" for name in names):
         raise DataError(f"{path}: empty class name (blank line) in class map")
     return ClassMap(tuple(names))

@@ -8,6 +8,10 @@ happens in the parent in chunk order.  Chunk size is independent of
 the worker count, and every reduction is either
 exactly rounded (math.fsum) or performed in canonical order, so the
 same input produces byte-identical reports at any ``--jobs`` level.
+
+Each ``run_<command>`` takes the command line that ``cli.build_parser``
+parsed and checked, its config echo, and the inputs that ``cli`` resolved
+from it: the frame metadata and class map, or the loss parameters.
 """
 
 from __future__ import annotations
@@ -111,33 +115,6 @@ def _map_ordered(worker, tasks, jobs: int):
 
 
 @dataclass
-class AnalyzeConfig:
-    detections: Path
-    meta: FrameMeta
-    out_dir: Path
-    class_map: ClassMap | None = None
-    conf_threshold: float = 0.5
-    top_k: int = 5
-    min_run: int = 1
-    max_gap: int = 0
-    fmt: str = "csv"
-    jobs: int = 1
-    strict: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.conf_threshold <= 1.0:
-            raise ConfigError(f"confidence threshold must be in [0, 1], got {self.conf_threshold}")
-        if self.top_k < 1:
-            raise ConfigError(f"top-k must be >= 1, got {self.top_k}")
-        if self.min_run < 1:
-            raise ConfigError(f"min_run must be >= 1, got {self.min_run}")
-        if self.max_gap < 0:
-            raise ConfigError(f"max_gap must be >= 0, got {self.max_gap}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-
-
-@dataclass
 class _ChunkResult:
     n_records: int
     n_skipped: int
@@ -178,16 +155,15 @@ def _analyze_chunk(task) -> _ChunkResult:
     )
 
 
-def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunReport:
+def run_analyze(args, config_echo: dict | None, meta: FrameMeta, class_map: ClassMap | None) -> RunReport:
     """Detections stream -> brand metrics, timeline and ranking reports."""
-    if not cfg.detections.is_file():
-        raise ConfigError(f"detections file not found: {cfg.detections}")
-    with _run("analyze", cfg.out_dir, config_echo, tuple(f"{t}.{cfg.fmt}" for t in ("brand_metrics", "timeline", "ranking"))) as report:
+    fmt, out = args.format, args.out
+    with _run("analyze", out, config_echo, tuple(f"{t}.{fmt}" for t in ("brand_metrics", "timeline", "ranking"))) as report:
         tasks = (
-            (cfg.detections, *span, cfg.meta, cfg.class_map, cfg.conf_threshold, cfg.strict)
-            for span in line_ranges(cfg.detections, CHUNK_LINES)
+            (args.detections, *span, meta, class_map, args.conf_threshold, args.strict)
+            for span in line_ranges(args.detections, CHUNK_LINES)
         )
-        chunks = list(_map_ordered(_analyze_chunk, tasks, cfg.jobs))
+        chunks = list(_map_ordered(_analyze_chunk, tasks, args.jobs))
         frames = np.concatenate([np.zeros(0, np.int64), *(c.frames for c in chunks)])
         classes = np.concatenate([np.zeros(0, np.int64), *(c.classes for c in chunks)])
         areas = np.concatenate([np.zeros(0), *(c.areas for c in chunks)])
@@ -201,7 +177,7 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
             report.warnings.extend(c.warnings)
         max_frame = max((c.max_frame for c in chunks), default=-1)
 
-        n_frames = cfg.meta.frame_count
+        n_frames = meta.frame_count
         if n_frames <= 0:
             n_frames = max_frame + 1
             if n_frames > 0:
@@ -222,11 +198,10 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
             )
 
         brand_metrics, timeline, ranking = metrics.reduce_coverage(
-            frames, classes, areas, cfg.meta, n_frames, cfg.top_k, cfg.min_run, cfg.max_gap
+            frames, classes, areas, meta, n_frames, args.top_k, args.min_run, args.max_gap
         )
 
-        names = {i: cfg.class_map.name_of(i) for i in range(len(cfg.class_map))} if cfg.class_map else None
-        fmt, out = cfg.fmt, cfg.out_dir
+        names = None if class_map is None else dict(enumerate(class_map.names))
         rows = metrics.metrics_rows(brand_metrics, names)
         write_table(report.output(out / f"brand_metrics.{fmt}"), metrics.BRAND_METRICS_FIELDS, rows, fmt)
         timeline_columns = dict(zip(metrics.TIMELINE_FIELDS, (timeline.brands, timeline.frames, timeline.c)))
@@ -255,24 +230,6 @@ def run_analyze(cfg: AnalyzeConfig, config_echo: dict | None = None) -> RunRepor
 # evaluate
 
 
-@dataclass
-class EvaluateConfig:
-    labels_dir: Path
-    detections: Path
-    meta: FrameMeta
-    out_dir: Path
-    class_map: ClassMap | None = None
-    iou_threshold: float = 0.5
-    box_mode: str = "obb"
-    conf_threshold: float | None = None
-    interpolation: str = "all_points"
-    fmt: str = "csv"
-    strict: bool = False
-
-    def __post_init__(self):
-        evaluation.check_settings(self.iou_threshold, self.box_mode, self.conf_threshold, self.interpolation)
-
-
 UNMATCHED_SAMPLES = 5  # prediction video ids named in the unmatched-frame warning
 
 
@@ -284,18 +241,18 @@ def _detection_chunks(path: Path, class_map: ClassMap | None, meta: FrameMeta | 
         yield chunk
 
 
-def run_evaluate(cfg: EvaluateConfig, config_echo: dict | None = None) -> RunReport:
+def run_evaluate(args, config_echo: dict | None, meta: FrameMeta, class_map: ClassMap | None) -> RunReport:
     """Split ground truth + predictions -> AP/mAP/PR/IoU-histogram report.
 
     The split's labels are read once into columns, and so are the
     predictions, chunk by chunk, with their quads in canonical order.
     """
-    with _run("evaluate", cfg.out_dir, config_echo, (f"eval.{cfg.fmt}",)) as report:
-        n_classes = len(cfg.class_map) if cfg.class_map else None
-        labels = read_split_labels(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings)
+    with _run("evaluate", args.out, config_echo, (f"eval.{args.format}",)) as report:
+        n_classes = None if class_map is None else len(class_map.names)
+        labels = read_split_labels(args.labels, meta, n_classes, args.strict, report.warnings)
         if not labels.classes.size:
-            raise DataError(f"no ground-truth instances under {cfg.labels_dir}")
-        chunks = list(_detection_chunks(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings))
+            raise DataError(f"no ground-truth instances under {args.labels}")
+        chunks = list(_detection_chunks(args.detections, class_map, None, args.strict, report.warnings))
         video_ids = [v for c in chunks for v in c.video_ids]
         classes = np.concatenate([np.zeros(0, np.int64), *(c.classes for c in chunks)])
         confs = np.concatenate([np.zeros(0), *(c.confs for c in chunks)])
@@ -304,8 +261,8 @@ def run_evaluate(cfg: EvaluateConfig, config_echo: dict | None = None) -> RunRep
         unmatched = [v for v in video_ids if v not in stems]
         n_unmatched, named = len(unmatched), list(dict.fromkeys(unmatched))[:UNMATCHED_SAMPLES]
         if n_unmatched:
-            if cfg.strict:
-                raise DataError(f"prediction video_id {named[0]!r} matches no frame under {cfg.labels_dir}")
+            if args.strict:
+                raise DataError(f"prediction video_id {named[0]!r} matches no frame under {args.labels}")
             report.warnings.append(
                 f"{n_unmatched} predictions match no frame (video_id is not a label stem), "
                 f"counted as false positives: {', '.join(map(repr, named))}"
@@ -313,16 +270,16 @@ def run_evaluate(cfg: EvaluateConfig, config_echo: dict | None = None) -> RunRep
 
         audit = evaluation.MatchAudit()
         result = evaluation.evaluate_columns(
-            labels, video_ids, classes, confs, quads, iou_threshold=cfg.iou_threshold, box_mode=cfg.box_mode,
-            conf_threshold=cfg.conf_threshold, interpolation=cfg.interpolation, audit=audit,
+            labels, video_ids, classes, confs, quads, iou_threshold=args.iou_threshold, box_mode=args.box_mode,
+            conf_threshold=args.conf_threshold, interpolation=args.interpolation, audit=audit,
         )
         report.warnings.extend(audit.notes)
 
-        names = {i: cfg.class_map.name_of(i) for i in range(len(cfg.class_map))} if cfg.class_map else None
-        if cfg.fmt == "json":
-            write_json_report(report.output(cfg.out_dir / "eval.json"), result.to_payload(names))
+        names = None if class_map is None else dict(enumerate(class_map.names))
+        if args.format == "json":
+            write_json_report(report.output(args.out / "eval.json"), result.to_payload(names))
         else:
-            write_table(report.output(cfg.out_dir / "eval.csv"), evaluation.EVAL_TABLE_FIELDS, result.to_rows(), "csv")
+            write_table(report.output(args.out / "eval.csv"), evaluation.EVAL_TABLE_FIELDS, result.to_rows(), "csv")
         report.counts = {
             "ground_truth_parsed": int(labels.classes.size),
             "ground_truth_skipped": labels.n_skipped,
@@ -345,36 +302,16 @@ def run_evaluate(cfg: EvaluateConfig, config_echo: dict | None = None) -> RunRep
 # fit (tightness-ratio analysis)
 
 
-@dataclass
-class FitConfig:
-    out_dir: Path
-    labels_dir: Path | None = None
-    detections: Path | None = None
-    meta: FrameMeta | None = None
-    class_map: ClassMap | None = None
-    bin_width: float | None = None  # None emits both 15 and 5 degree tables
-    fmt: str = "csv"
-    strict: bool = False
-
-    def __post_init__(self):
-        if self.labels_dir is None and self.detections is None:
-            raise ConfigError("fit requires --labels and/or --detections")
-        if self.labels_dir is not None and self.meta is None:
-            raise ConfigError("label TR analysis requires frame dimensions (--meta or --width/--height)")
-        if self.bin_width is not None:
-            tightness.check_bin_width(self.bin_width)
-
-
-def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
-    """Tightness-ratio vs orientation tables for labels and/or predictions."""
-    widths = [cfg.bin_width] if cfg.bin_width is not None else [15.0, 5.0]
-    names = tuple(f"tr_{table}_bw{format(width, 'g')}.{cfg.fmt}" for width in widths for table in ("bins", "gap"))
-    with _run("fit", cfg.out_dir, config_echo, names) as report:
+def run_fit(args, config_echo: dict | None, meta: FrameMeta | None, class_map: ClassMap | None) -> RunReport:
+    """Tightness-ratio vs orientation tables for labels and/or predictions; ``meta`` is None only without --labels."""
+    widths = [args.bin_width] if args.bin_width is not None else [15.0, 5.0]  # None emits both 15 and 5 degree tables
+    names = tuple(f"tr_{table}_bw{format(width, 'g')}.{args.format}" for width in widths for table in ("bins", "gap"))
+    with _run("fit", args.out, config_echo, names) as report:
         blocks: dict[str, list] = {"ground_truth": [], "prediction": []}  # a source's (trs, angles) per tr_sample call
         n_gt_parsed = n_gt_skipped = n_pred_skipped = 0
-        n_classes = len(cfg.class_map) if cfg.class_map else None
-        if cfg.labels_dir is not None:
-            labels = read_split_labels(cfg.labels_dir, cfg.meta, n_classes, cfg.strict, report.warnings)
+        if args.labels is not None:
+            n_classes = None if class_map is None else len(class_map.names)
+            labels = read_split_labels(args.labels, meta, n_classes, args.strict, report.warnings)
             n_gt_parsed, n_gt_skipped = int(labels.classes.size), labels.n_skipped
             report.warnings.extend(
                 f"{labels.stems[f]}: degenerate ground truth excluded from TR analysis"
@@ -384,8 +321,8 @@ def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
             # blocks bound the batch kernels' temporaries: one call over 20k boxes raised peak RSS by about 5 MiB
             for i in range(0, len(quads), CHUNK_LINES):
                 blocks["ground_truth"].append(tightness.tr_sample(quads[i : i + CHUNK_LINES]))
-        if cfg.detections is not None:
-            for chunk in _detection_chunks(cfg.detections, cfg.class_map, None, cfg.strict, report.warnings):
+        if args.detections is not None:
+            for chunk in _detection_chunks(args.detections, class_map, None, args.strict, report.warnings):
                 n_pred_skipped += chunk.n_skipped
                 blocks["prediction"].append(tightness.tr_sample(chunk.quads))
         n = {source: sum(trs.size for trs, _ in parts) for source, parts in blocks.items()}
@@ -398,10 +335,10 @@ def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
             tag = format(width, "g")
             bins = {source: tightness.bin_tr_columns(trs, angles, width) for source, (trs, angles) in columns.items()}
             rows = [row for source, stat_list in bins.items() for row in tightness.bin_rows(stat_list, source)]
-            write_table(report.output(cfg.out_dir / f"tr_bins_bw{tag}.{cfg.fmt}"), tightness.TR_BIN_FIELDS, rows, cfg.fmt)
+            write_table(report.output(args.out / f"tr_bins_bw{tag}.{args.format}"), tightness.TR_BIN_FIELDS, rows, args.format)
             if len(bins) == 2:
                 gap_rows, overall = tightness.gap_rows(bins["ground_truth"], bins["prediction"])
-                write_table(report.output(cfg.out_dir / f"tr_gap_bw{tag}.{cfg.fmt}"), tightness.TR_GAP_FIELDS, gap_rows, cfg.fmt)
+                write_table(report.output(args.out / f"tr_gap_bw{tag}.{args.format}"), tightness.TR_GAP_FIELDS, gap_rows, args.format)
                 overall_gaps[tag] = overall
 
         report.counts = {
@@ -420,16 +357,10 @@ def run_fit(cfg: FitConfig, config_echo: dict | None = None) -> RunReport:
 # losscheck
 
 
-@dataclass
-class LossCheckConfig:
-    params: LossParams = field(default_factory=LossParams)
-    out_dir: Path | None = None
-
-
-def run_losscheck(cfg: LossCheckConfig, config_echo: dict | None = None) -> RunReport:
+def run_losscheck(args, config_echo: dict | None, params: LossParams) -> RunReport:
     """Run the loss fixture suite; ``counts["checks_failed"]`` is 0 when every fixture passes."""
-    with _run("losscheck", cfg.out_dir, config_echo) as report:
-        checks = run_loss_checks(cfg.params)
+    with _run("losscheck", args.out, config_echo) as report:
+        checks = run_loss_checks(params)
         n_passed = sum(c.passed for c in checks)
         report.counts = {"checks_total": len(checks), "checks_passed": n_passed, "checks_failed": len(checks) - n_passed}
         report.summary = {"checks": [asdict(c) for c in checks]}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -11,10 +12,8 @@ import pytest
 
 from conftest import detection_line, read_table_csv, traced_peak
 from obbkit.cli import main
-from obbkit.errors import ConfigError
 from obbkit.formats import FrameMeta, iter_detections, read_label_file, write_table
 from obbkit import pipeline
-from obbkit.pipeline import EvaluateConfig, FitConfig
 from obbkit.geometry import obb_orientation_deg, quad_from_rect
 from obbkit.tightness import (
     TR_BIN_FIELDS,
@@ -143,6 +142,18 @@ class TestAnalyze:
         assert main(args + ["--strict"]) == 2
         assert main(args) == 0
 
+    def test_config_echo(self, toy_analyze):
+        dets, meta, out = toy_analyze
+        classes = dets.parent / "classes.txt"
+        classes.write_text("acme\n")
+        argv = ["analyze", "--detections", str(dets), "--classes", str(classes), "--meta", str(meta), "--jobs", "2"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert json.loads((out / "run_report.json").read_text())["config"] == {
+            "classes": str(classes), "conf_threshold": 0.5, "detections": str(dets), "format": "csv", "fps": None,
+            "frames": None, "height": None, "jobs": 2, "max_gap": 0, "meta": str(meta), "min_run": 1, "out": str(out),
+            "strict": False, "top_k": 5, "width": None,
+        }  # fmt: skip
+
     def test_accounting_invariant(self, tmp_path, capsys):
         dets = tmp_path / "dets.jsonl"
         lines = [
@@ -253,22 +264,37 @@ class TestAnalyze:
         _, rank_rows = read_table_csv(out / "ranking.csv")
         assert float(rank_rows[0]["exposure_s"]) == float(rows[0]["exposure_s"])
 
+    PARSED_FLAGS = [  # argparse rejects each, before any file is read
+        ["--top-k", "0"], ["--conf-threshold", "1.5"], ["--jobs", "0"], ["--jobs", "-3"], ["--conf-threshold", "nan"],
+        ["--conf-threshold", "-0.1"], ["--min-run", "0"], ["--max-gap", "-1"],
+    ]  # fmt: skip
+    FRAME_FLAGS = [["--fps", "nan"], ["--fps", "inf"], ["--fps", "1e-320"]]  # FrameMeta rejects each, with --meta
+
     @pytest.mark.parametrize(
-        "flag",
+        "stream, flag",
         [
-            ["--top-k", "0"], ["--conf-threshold", "1.5"], ["--jobs", "0"], ["--jobs", "-3"],
-            ["--fps", "nan"], ["--fps", "inf"], ["--fps", "1e-320"], ["--conf-threshold", "nan"],
+            *itertools.product(["", "toy", "undecodable-classes", "meta-array"], PARSED_FLAGS),
+            *itertools.product(["", "toy", "undecodable-classes"], FRAME_FLAGS),
         ],
-    )  # fmt: skip
-    @pytest.mark.parametrize("stream", ["", "toy"])
+        ids=lambda value: "=".join(value) if isinstance(value, list) else value or "empty",
+    )
     def test_invalid_config_exit_1_before_reading(self, toy_analyze, flag, stream, capsys):
         dets, meta, out = toy_analyze
+        extra = []
         if not stream:
             dets.write_text("")
-        code = main(["analyze", "--detections", str(dets), "--meta", str(meta), "--out", str(out), *flag])
+        elif stream == "undecodable-classes":
+            (dets.parent / "classes.txt").write_bytes(b"logo\n\xff\n")
+            extra = ["--classes", str(dets.parent / "classes.txt")]
+        elif stream == "meta-array":
+            meta.write_text("[100, 100]")
+        code = main(["analyze", "--detections", str(dets), "--meta", str(meta), "--out", str(out), *extra, *flag])
         assert code == 1
         assert not out.exists()
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if flag in self.PARSED_FLAGS:
+            assert f"error: argument {flag[0]}: " in captured.err and flag[1] in captured.err
 
     def test_strict_reports_first_fault_in_line_order(self, tmp_path, capsys):
         dets = tmp_path / "dets.jsonl"
@@ -441,38 +467,53 @@ class TestEvaluate:
 
 
 class TestConfigValidation:
-    """evaluate and fit settings are checked before any input is read."""
+    """evaluate and fit settings are checked where argparse parses them, before any input is read."""
+
+    @staticmethod
+    def _exit_1(tmp_path, capsys, argv: list[str], classes: bytes | None, message: str) -> str:
+        """Stderr of ``argv``, which must exit 1 with ``message``, print nothing and make no --out."""
+        out = tmp_path / "out"
+        if classes is not None:
+            (tmp_path / "classes.txt").write_bytes(classes)
+            argv = [*argv, "--classes", str(tmp_path / "classes.txt")]
+        assert main([*argv, "--width", "100", "--height", "100", "--out", str(out)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        return captured.err
 
     @pytest.mark.parametrize(
         "flag",
-        [["--iou-threshold", "1.5"], ["--iou-threshold", "0"], ["--conf-threshold", "1.5"], ["--conf-threshold", "-0.1"]],
-    )
-    def test_evaluate_exit_1(self, tmp_path, flag, capsys):
+        [
+            ["--iou-threshold", "1.5"], ["--iou-threshold", "0"], ["--conf-threshold", "1.5"], ["--conf-threshold", "-0.1"],
+            ["--iou-threshold", "1"], ["--conf-threshold", "2"], ["--conf-threshold", "nan"], ["--box-mode", "square"],
+            ["--interpolation", "bogus"],
+        ],
+    )  # fmt: skip
+    @pytest.mark.parametrize("classes", [None, b"logo\n\xff\n"], ids=["", "undecodable-classes"])
+    def test_evaluate_exit_1(self, tmp_path, flag, classes, capsys):
         split, preds = make_eval_tree(tmp_path)
-        out = tmp_path / "out"
-        code = main(
-            [
-                "evaluate", "--labels", str(split), "--detections", str(preds),
-                "--width", "100", "--height", "100", "--out", str(out), *flag,
-            ]  # fmt: skip
-        )
-        assert code == 1
-        assert not out.exists()
-        assert capsys.readouterr().out == ""
+        argv = ["evaluate", "--labels", str(split), "--detections", str(preds), *flag]
+        assert flag[1] in self._exit_1(tmp_path, capsys, argv, classes, f"error: argument {flag[0]}: ")
 
     @pytest.mark.parametrize("width", ["7", "0", "-15", "nan", "inf", "-inf", "1e300", "0.05"])
-    def test_fit_bin_width_exit_1(self, tmp_path, width, capsys):
+    @pytest.mark.parametrize("classes", [None, b"logo\n\xff\n"], ids=["", "undecodable-classes"])
+    def test_fit_bin_width_exit_1(self, tmp_path, width, classes, capsys):
+        split, preds = make_eval_tree(tmp_path)
+        argv = ["fit", "--labels", str(split), "--detections", str(preds), "--bin-width", width]
+        self._exit_1(tmp_path, capsys, argv, classes, "error: argument --bin-width: ")
+
+    @pytest.mark.parametrize("classes", [None, b"logo\n\xff\n"], ids=["", "undecodable-classes"])
+    def test_fit_without_input_exit_1(self, tmp_path, classes, capsys):
+        self._exit_1(tmp_path, capsys, ["fit"], classes, "error: fit requires --labels and/or --detections")
+
+    def test_fit_labels_without_dimensions_exit_1(self, tmp_path, capsys):
         split, preds = make_eval_tree(tmp_path)
         out = tmp_path / "out"
-        code = main(
-            [
-                "fit", "--labels", str(split), "--detections", str(preds),
-                "--width", "100", "--height", "100", "--bin-width", width, "--out", str(out),
-            ]  # fmt: skip
-        )
-        assert code == 1
+        assert main(["fit", "--labels", str(split), "--detections", str(preds), "--out", str(out)]) == 1
+        assert "error: frame dimensions required" in capsys.readouterr().err
         assert not out.exists()
-        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flag", [["--fps", "25"], ["--frames", "100"]])
     @pytest.mark.parametrize("command", ["evaluate", "fit"])
@@ -487,19 +528,12 @@ class TestConfigValidation:
             main([command, "--help"])
         assert "--fps" not in capsys.readouterr().out
 
-    def test_library_configs(self, tmp_path):
-        base = dict(labels_dir=tmp_path, detections=tmp_path / "p.jsonl", meta=FrameMeta(100.0, 100.0), out_dir=tmp_path / "o")
-        EvaluateConfig(**base, box_mode="hbb", conf_threshold=0.0, interpolation="11point")
-        for bad in ({"box_mode": "square"}, {"interpolation": "bogus"}, {"iou_threshold": 1.0}, {"conf_threshold": 2.0}):
-            with pytest.raises(ConfigError):
-                EvaluateConfig(**base, **bad)
-        FitConfig(out_dir=tmp_path / "o", detections=tmp_path / "p.jsonl", bin_width=7.5)
-        with pytest.raises(ConfigError):
-            FitConfig(out_dir=tmp_path / "o")
-        with pytest.raises(ConfigError):
-            FitConfig(out_dir=tmp_path / "o", labels_dir=tmp_path)
-        with pytest.raises(ConfigError):
-            FitConfig(out_dir=tmp_path / "o", detections=tmp_path / "p.jsonl", bin_width=7.0)
+    def test_edge_settings_accepted(self, tmp_path):
+        split, preds = make_eval_tree(tmp_path)
+        argv = ["--labels", str(split), "--detections", str(preds), "--width", "100", "--height", "100"]
+        settings = ["--box-mode", "hbb", "--conf-threshold", "0", "--interpolation", "11point"]
+        assert main(["evaluate", *argv, *settings, "--out", str(tmp_path / "eval")]) == 0
+        assert main(["fit", *argv, "--bin-width", "7.5", "--out", str(tmp_path / "fit")]) == 0
 
 
 class TestHugeJsonIntegers:
@@ -863,7 +897,7 @@ class TestExitCodes:
     def test_internal_error_exit_3(self, toy_analyze, monkeypatch, capsys):
         dets, meta, out = toy_analyze
 
-        def boom(cfg, echo=None):
+        def boom(args, config_echo, meta, class_map):
             raise RuntimeError("unexpected")
 
         monkeypatch.setattr("obbkit.cli.pipeline.run_analyze", boom)
@@ -1051,6 +1085,23 @@ class TestInputFiles:
         code, err, out = self._run(tmp_path, capsys, argv, missing=tmp_path / "missing")
         assert code == 1
         assert "not found" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"", b"\n\n"], ids=["empty", "blank-lines"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--detections", "{preds}", "--meta", "{meta}", "--classes", "{bad}"],
+            ["evaluate", "--labels", "{split}", "--detections", "{preds}", "--meta", "{meta}", "--classes", "{bad}"],
+        ],
+        ids=["analyze", "evaluate"],
+    )
+    def test_class_map_without_names_exit_2(self, tmp_path, capsys, argv, content):
+        bad = tmp_path / "bad"
+        bad.write_bytes(content)
+        code, err, out = self._run(tmp_path, capsys, argv, bad=bad)
+        assert code == 2
+        assert f"error: {bad}: class map has no names" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

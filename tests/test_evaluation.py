@@ -247,6 +247,12 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate([pred], [])
 
+    @pytest.mark.parametrize("settings", [{"conf_threshold": 2.0}, {"conf_threshold": -0.1}, {"interpolation": "bogus"}])
+    def test_evaluate_columns_checks_every_setting(self, settings):
+        quad = quad_from_rect(20, 20, 10, 6, 0)
+        with pytest.raises(ConfigError):
+            evaluate([det("f", 0, 0, quad, 0.9)], [gt("f", 0, quad)], **settings)
+
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(47)
         for _ in range(20):
