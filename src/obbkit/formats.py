@@ -23,7 +23,7 @@ import os
 import re
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -814,11 +814,17 @@ def load_split(
 
 
 def format_cell(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, float):
         return repr(value)
     if value is None:
         return ""
     return str(value)
+
+
+def _json_cell(value) -> str:
+    return json.dumps(value.item() if isinstance(value, np.generic) else value)
 
 
 def write_json_report(path: str | Path, payload) -> None:
@@ -830,13 +836,32 @@ def write_json_report(path: str | Path, payload) -> None:
 TABLE_BLOCK_ROWS = 4096  # rows formatted per write: the cells in memory are one block's (about 1.5 MiB for a timeline)
 
 
+def _is_number_column(values) -> bool:
+    return isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+
+
 def _cell_texts(values, fmt: str) -> list[str]:
-    """One column's cells as report text: format_cell for CSV, JSON literals for JSON."""
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind in "iu" or (values.dtype.kind == "f" and (fmt == "csv" or np.isfinite(values).all())):
-            return list(map(repr, values.tolist()))  # int/float repr is both format_cell and json text
-        values = values.tolist()
-    return list(map(format_cell if fmt == "csv" else json.dumps, values))
+    """One column's cells as report text: format_cell for CSV, JSON literals for JSON.
+
+    An int or float array is written by one orjson call, whose digits are
+    ``repr``'s (shortest round-trip) for every int, for zero and for every
+    float with 1e-4 <= |v| < 1e16.  orjson writes the other floats without
+    an exponent, and NaN and infinity as ``null``, so those cells are
+    written one at a time.
+    """
+    cell = format_cell if fmt == "csv" else _json_cell
+    if not (_is_number_column(values) and len(values)):
+        return list(map(cell, values.tolist() if isinstance(values, np.ndarray) else values))
+    # repr's digits come only from a native, C-contiguous int64, uint64 or float64 array: orjson rejects strided
+    # arrays and float16, writes float32 with float32-shortest digits, and reads a byte-swapped array as native.
+    dtype = {"i": np.int64, "u": np.uint64, "f": np.float64}[values.dtype.kind]
+    values = np.ascontiguousarray(values, dtype=dtype)
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
+    if dtype is np.float64:
+        mag = np.abs(values)
+        for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (mag != 0)).tolist():
+            texts[i] = cell(values[i])
+    return texts
 
 
 def write_table(path: str | Path, fieldnames: list[str], rows: list[dict] | dict, fmt: str) -> None:
@@ -845,25 +870,34 @@ def write_table(path: str | Path, fieldnames: list[str], rows: list[dict] | dict
     ``rows`` is a list of row dicts or a dict of equal-length columns
     (lists or 1-D arrays) by field name.  Columns are formatted one at a
     time, into the bytes ``csv.writer`` with format_cell, or
-    ``json.dump(indent=2)``, would write for the same rows.
+    ``json.dump(indent=2)``, would write for the same rows: a number is
+    Python's ``repr`` of it (shortest round-trip), a numpy scalar that of
+    its ``.item()``.  Int and float array columns take their digits from
+    orjson.  Rows are written ``TABLE_BLOCK_ROWS`` at a time, each block
+    with one string join.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
     columns = rows if isinstance(rows, dict) else {k: [row.get(k) for row in rows] for k in fieldnames}
     n = len(columns[fieldnames[0]])
-    fields = ",\n".join(f"    {json.dumps(k).replace('%', '%%')}: %s" for k in fieldnames)
-    json_row = ("  {\n" + fields + "\n  }").__mod__
+    keys = [json.dumps(k) + ": " for k in fieldnames]
+    heads = ["\n  },\n  {\n    " + keys[0]] + [",\n    " + k for k in keys[1:]]  # each row's head closes the last row
+    quoted = not all(_is_number_column(columns[k]) for k in fieldnames)  # a number never needs CSV quoting
     with open(path, "w", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if fmt == "csv":
             writer.writerow(fieldnames)
-        elif n:
-            fh.write("[\n")
         for lo in range(0, n, TABLE_BLOCK_ROWS):
-            cells = zip(*(_cell_texts(columns[k][lo : lo + TABLE_BLOCK_ROWS], fmt) for k in fieldnames))
-            if fmt == "csv":
-                writer.writerows(cells)
+            texts = [_cell_texts(columns[k][lo : lo + TABLE_BLOCK_ROWS], fmt) for k in fieldnames]
+            if fmt == "csv" and quoted:
+                writer.writerows(zip(*texts))
+            elif fmt == "csv":
+                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
             else:
-                fh.write((",\n" if lo else "") + ",\n".join(map(json_row, cells)))
+                heads_and_cells = [x for head, cells in zip(heads, texts) for x in (repeat(head), cells)]
+                parts = list(chain.from_iterable(zip(*heads_and_cells)))
+                if not lo:
+                    parts[0] = "[\n  {\n    " + keys[0]
+                fh.write("".join(parts))
         if fmt == "json":
-            fh.write("\n]\n" if n else "[]\n")
+            fh.write("\n  }\n]\n" if n else "[]\n")

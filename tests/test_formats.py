@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obbkit.errors import ConfigError, DataError, ParseError
 from obbkit.formats import (
@@ -22,6 +24,7 @@ from obbkit.formats import (
     serialize_obb_label_line,
     write_table,
 )
+from obbkit.formats import _cell_texts, format_cell
 from conftest import detection_line, read_table_csv, traced_peak
 from oracles import normalize_quad_reference, random_convex_quad, write_table_reference
 from obbkit.geometry import normalize_quad, polygon_area
@@ -536,7 +539,14 @@ class TestReportTables:
             "note": [notes[i % len(notes)] for i in range(40)],
         }
         odd = {"brand_id": np.arange(3), "exposure_s": np.array([np.nan, np.inf, -0.0]), "note": [True, 1.5, 7]}
-        for i, cols in enumerate([columns, odd, {k: [] for k in self.FIELDS}]):
+        exposure = columns["exposure_s"] * rng.choice([-1.0, 1.0], 40)
+        exposure[[3, 11, 19, 27]] = [np.nan, np.inf, -np.inf, -0.0]
+        numbers = {  # no cell needs CSV quoting: CSV rows are joined without csv.writer
+            "brand_id": rng.integers(-(2**40), 2**40, 40),
+            "exposure_s": exposure,
+            "note": rng.integers(0, 2**64 - 1, 40, dtype=np.uint64, endpoint=True),
+        }
+        for i, cols in enumerate([columns, odd, numbers, {k: [] for k in self.FIELDS}]):
             values = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols.values()]
             as_rows = [dict(zip(cols, row)) for row in zip(*values)]
             want, by_rows, by_cols = (tmp_path / f"{name}{i}.{fmt}" for name in ("want", "rows", "cols"))
@@ -562,3 +572,80 @@ class TestReportTables:
         write_table(p1, self.FIELDS, rows, "csv")
         write_table(p2, self.FIELDS, rows, "csv")
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_numpy_scalars_write_as_their_python_values(self, tmp_path, fmt):
+        rows = [
+            {"brand_id": np.int64(3), "exposure_s": np.float64(1.5), "note": np.bool_(True)},
+            {"brand_id": np.uint8(7), "exposure_s": np.float32(0.1), "note": np.str_("x")},
+            {"brand_id": np.int32(-2), "exposure_s": np.float64(np.nan), "note": None},
+        ]
+        plain = [{k: v.item() if isinstance(v, np.generic) else v for k, v in row.items()} for row in rows]
+        got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+        write_table(got, self.FIELDS, rows, fmt)
+        write_table_reference(want, self.FIELDS, plain, fmt)
+        assert got.read_bytes() == want.read_bytes()
+        assert format_cell(np.float64(1.5)) == "1.5"
+
+
+def _float64_from_bits(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+class TestNumberCells:
+    """An int or float array's cells, written by orjson, are format_cell's text for CSV and json.dumps's for JSON."""
+
+    @staticmethod
+    def assert_cells(column: np.ndarray, fmt: str) -> None:
+        cell = format_cell if fmt == "csv" else json.dumps
+        assert _cell_texts(column, fmt) == [cell(v) for v in column.tolist()]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 2**64 - 1).map(_float64_from_bits), st.floats(), st.floats(-1e17, 1e17)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_float64(self, fmt, values):
+        self.assert_cells(np.array(values, dtype=np.float64), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=12), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
+    def test_int64_and_uint64(self, fmt, signed, unsigned):
+        self.assert_cells(np.array(signed, dtype=np.int64), fmt)
+        self.assert_cells(np.array(unsigned, dtype=np.uint64), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_band_edges_and_specials(self, fmt):
+        edges = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16, 5e-324, 0.0, np.finfo(np.float64).max]
+        column = np.array(edges + [-v for v in edges] + [np.nan, np.inf, -np.inf])
+        self.assert_cells(column, fmt)
+        assert _cell_texts(column[:4], "csv") == ["9.999999999999999e-05", "0.0001", "9999999999999998.0", "1e+16"]
+        assert _cell_texts(column[[5, 12, 14, 15, 16]], fmt) == (
+            ["0.0", "-0.0", "nan", "inf", "-inf"] if fmt == "csv" else ["0.0", "-0.0", "NaN", "Infinity", "-Infinity"]
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.array([0.1, 1e-5, 3.4e38, np.nan, -2.5], dtype=np.float32),  # the float64 value's digits, not float32's
+            np.array([0.1, 6e-5, 65504.0, np.inf], dtype=np.float16),  # orjson rejects float16
+            np.array([True, False]),
+            np.array([2**64 - 1, 0], dtype=np.uint64),
+            np.array([-128, 127], dtype=np.int8),
+            np.arange(12.0)[::3] / 7,  # orjson rejects strided arrays
+            np.arange(12)[::-2],
+            np.array([0.1, 1e-5, -3.0], dtype=">f8"),  # orjson reads a byte-swapped array as native
+            np.array([1, -2, 2**31 - 1], dtype=">i4"),
+            np.array([], dtype=np.float64),
+            np.array([], dtype=np.int64),
+        ],
+        ids=["float32", "float16", "bool", "uint64-max", "int8", "strided-float", "strided-int", "big-endian-float", "big-endian-int", "empty-float", "empty-int"],
+    )
+    def test_column_dtypes(self, fmt, column):
+        self.assert_cells(column, fmt)
