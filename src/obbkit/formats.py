@@ -882,17 +882,17 @@ def write_table(path: str | Path, fieldnames: list[str], rows: list[dict] | dict
     n = len(columns[fieldnames[0]])
     keys = [json.dumps(k) + ": " for k in fieldnames]
     heads = ["\n  },\n  {\n    " + keys[0]] + [",\n    " + k for k in keys[1:]]  # each row's head closes the last row
-    quoted = not all(_is_number_column(columns[k]) for k in fieldnames)  # a number never needs CSV quoting
+    numbers_only = all(_is_number_column(columns[k]) for k in fieldnames)  # no number needs CSV quoting
     with open(path, "w", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if fmt == "csv":
             writer.writerow(fieldnames)
         for lo in range(0, n, TABLE_BLOCK_ROWS):
             texts = [_cell_texts(columns[k][lo : lo + TABLE_BLOCK_ROWS], fmt) for k in fieldnames]
-            if fmt == "csv" and quoted:
-                writer.writerows(zip(*texts))
-            elif fmt == "csv":
+            if fmt == "csv" and numbers_only:
                 fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            elif fmt == "csv":
+                writer.writerows(zip(*texts))
             else:
                 heads_and_cells = [x for head, cells in zip(heads, texts) for x in (repeat(head), cells)]
                 parts = list(chain.from_iterable(zip(*heads_and_cells)))

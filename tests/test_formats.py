@@ -614,7 +614,10 @@ class TestNumberCells:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=12), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12))
+    @given(
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=12),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
+    )
     def test_int64_and_uint64(self, fmt, signed, unsigned):
         self.assert_cells(np.array(signed, dtype=np.int64), fmt)
         self.assert_cells(np.array(unsigned, dtype=np.uint64), fmt)
@@ -638,14 +641,17 @@ class TestNumberCells:
             np.array([True, False]),
             np.array([2**64 - 1, 0], dtype=np.uint64),
             np.array([-128, 127], dtype=np.int8),
-            np.arange(12.0)[::3] / 7,  # orjson rejects strided arrays
+            (np.arange(12.0) / 7)[::3],  # orjson rejects strided arrays
             np.arange(12)[::-2],
             np.array([0.1, 1e-5, -3.0], dtype=">f8"),  # orjson reads a byte-swapped array as native
             np.array([1, -2, 2**31 - 1], dtype=">i4"),
             np.array([], dtype=np.float64),
             np.array([], dtype=np.int64),
         ],
-        ids=["float32", "float16", "bool", "uint64-max", "int8", "strided-float", "strided-int", "big-endian-float", "big-endian-int", "empty-float", "empty-int"],
+        ids=[
+            "float32", "float16", "bool", "uint64-max", "int8", "strided-float", "strided-int",
+            "big-endian-float", "big-endian-int", "empty-float", "empty-int",
+        ],
     )
     def test_column_dtypes(self, fmt, column):
         self.assert_cells(column, fmt)
